@@ -14,7 +14,7 @@ use speed_scaling::schedule::WorkRequirement;
 use speed_scaling::time::{Interval, EPS};
 
 use crate::error::ValidationError;
-use crate::model::QbssInstance;
+use crate::model::{JobPositions, QbssInstance};
 use crate::policy::Strategy;
 
 /// The two answers for one job.
@@ -66,11 +66,22 @@ pub fn try_derived_instance(
     inst: &QbssInstance,
     decisions: &[Decision],
 ) -> Result<Instance, ValidationError> {
+    derive(inst, &inst.positions(), decisions)
+}
+
+/// [`try_derived_instance`] with the id → position index of `inst`
+/// (see [`QbssInstance::positions`]) already built.
+pub(crate) fn derive(
+    inst: &QbssInstance,
+    positions: &JobPositions,
+    decisions: &[Decision],
+) -> Result<Instance, ValidationError> {
     let mut jobs = Vec::with_capacity(2 * decisions.len());
     for dec in decisions {
-        let Some(j) = inst.job(dec.job) else {
+        let Some(pos) = positions.get(dec.job) else {
             return Err(ValidationError::UnknownJob { job: dec.job });
         };
+        let j = &inst.jobs[pos];
         if dec.queried {
             let Some(tau) = dec.split else {
                 return Err(ValidationError::MissingSplit { job: j.id });
@@ -122,10 +133,11 @@ pub fn derived_requirements(inst: &QbssInstance, decisions: &[Decision]) -> Vec<
 /// Total load `p_j` executed under the decisions
 /// (`c_j + w*_j` if queried, else `w_j`).
 pub fn total_load(inst: &QbssInstance, decisions: &[Decision]) -> f64 {
+    let positions = inst.positions();
     decisions
         .iter()
         .map(|d| {
-            let j = inst.job(d.job).expect("decision for unknown job");
+            let j = &inst.jobs[positions.get(d.job).expect("decision for unknown job")];
             if d.queried {
                 j.query_load + j.reveal_exact()
             } else {

@@ -247,6 +247,14 @@ impl QbssInstance {
         self.jobs.iter().find(|j| j.id == id)
     }
 
+    /// An id → position index over [`QbssInstance::jobs`], for many
+    /// lookups at O(log n) each.
+    pub(crate) fn positions(&self) -> JobPositions {
+        let mut by_id: Vec<(JobId, usize)> = self.jobs.iter().map(|j| j.id).zip(0..).collect();
+        by_id.sort_unstable();
+        JobPositions(by_id)
+    }
+
     /// Whether all jobs share (numerically) the release time `r`.
     pub fn has_common_release(&self, r: f64) -> bool {
         self.jobs.iter().all(|j| (j.release - r).abs() <= EPS)
@@ -290,6 +298,20 @@ impl QbssInstance {
 impl FromIterator<QJob> for QbssInstance {
     fn from_iter<T: IntoIterator<Item = QJob>>(iter: T) -> Self {
         Self { jobs: iter.into_iter().collect() }
+    }
+}
+
+/// The positions of an instance's jobs sorted by id; see
+/// [`QbssInstance::positions`].
+#[derive(Debug)]
+pub(crate) struct JobPositions(Vec<(JobId, usize)>);
+
+impl JobPositions {
+    /// The position of job `id`. The first occurrence of an id wins, as
+    /// in [`QbssInstance::job`].
+    pub(crate) fn get(&self, id: JobId) -> Option<usize> {
+        let at = self.0.partition_point(|&(j, _)| j < id);
+        self.0.get(at).filter(|&&(j, _)| j == id).map(|&(_, pos)| pos)
     }
 }
 

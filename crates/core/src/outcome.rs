@@ -15,7 +15,7 @@
 use speed_scaling::schedule::Schedule;
 use speed_scaling::time::EPS;
 
-use crate::decision::{derived_requirements, Decision};
+use crate::decision::{derive, Decision};
 use crate::error::ValidationError;
 use crate::model::QbssInstance;
 
@@ -73,9 +73,10 @@ impl QbssOutcome {
                 expected: inst.len(),
             });
         }
+        let positions = inst.positions();
         let mut seen: Vec<bool> = vec![false; inst.len()];
         for dec in &self.decisions {
-            let Some(pos) = inst.jobs.iter().position(|j| j.id == dec.job) else {
+            let Some(pos) = positions.get(dec.job) else {
                 return Err(ValidationError::UnknownJob { job: dec.job });
             };
             if seen[pos] {
@@ -101,7 +102,7 @@ impl QbssOutcome {
                 (false, None) => {}
             }
         }
-        let reqs = derived_requirements(inst, &self.decisions);
+        let reqs = Schedule::requirements_of(&derive(inst, &positions, &self.decisions)?);
         self.schedule.check(&reqs).map_err(ValidationError::from)
     }
 }
@@ -227,6 +228,32 @@ mod tests {
         assert!(matches!(
             out.validate(&inst),
             Err(ValidationError::SplitOutsideWindow { job: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn decisions_resolve_ids_to_the_first_matching_job() {
+        // An (invalid) instance repeating an id: lookups resolve to the
+        // first job, so the split is judged against its window before the
+        // repeated decision is reported.
+        let inst = QbssInstance::new(vec![
+            QJob::new(0, 0.0, 2.0, 1.0, 3.0, 1.0),
+            QJob::new(0, 5.0, 7.0, 1.0, 3.0, 1.0),
+        ]);
+        let out = QbssOutcome {
+            algorithm: "test".into(),
+            decisions: vec![Decision::query(0, 6.0), Decision::no_query(0)],
+            schedule: Schedule::empty(1),
+        };
+        assert!(matches!(
+            out.validate(&inst),
+            Err(ValidationError::SplitOutsideWindow { job: 0, release, .. }) if release == 0.0
+        ));
+        let decisions = vec![Decision::query(0, 1.0), Decision::no_query(0)];
+        let out = QbssOutcome { decisions, ..out };
+        assert!(matches!(
+            out.validate(&inst),
+            Err(ValidationError::DuplicateDecision { job: 0 })
         ));
     }
 

@@ -54,6 +54,14 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
         "OPT-energy memo miss (YDS solve performed and cached)",
     ),
     (
+        "edf.heap_ops",
+        "EDF ready-heap push or pop (release admission, lazy drop of done or expired tasks)",
+    ),
+    (
+        "edf.segments",
+        "elementary event-grid segment walked by an EDF placement",
+    ),
+    (
         "fw.gradient_evals",
         "per-interval gradient evaluation inside one Frank-Wolfe iteration",
     ),
@@ -68,6 +76,14 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
     (
         "oa.hull_updates",
         "deadline group pushed onto the OA hull during a replan",
+    ),
+    (
+        "schedule.live_visits",
+        "live slice visited by the schedule checker's overlap sweep",
+    ),
+    (
+        "schedule.segments",
+        "elementary event-grid segment swept by the schedule checker",
     ),
     (
         "solver.advances",

@@ -55,8 +55,9 @@ impl SpeedProfile {
     /// `events` (the speed is evaluated at each segment midpoint). This is
     /// the workhorse constructor of the event-driven online algorithms:
     /// they know their speed is constant between events and provide the
-    /// pointwise rule.
-    pub fn from_events(events: Vec<f64>, speed_at: impl Fn(f64) -> f64) -> Self {
+    /// pointwise rule. The rule is called once per segment, in increasing
+    /// time order, so it may carry sweep state.
+    pub fn from_events(events: Vec<f64>, mut speed_at: impl FnMut(f64) -> f64) -> Self {
         let bps = dedup_times(events);
         assert!(bps.len() >= 2, "need at least two distinct event times");
         let values = bps
@@ -104,13 +105,9 @@ impl SpeedProfile {
     /// on a breakpoint returns the value of the segment *ending* at `t`.
     /// Outside the support the speed is 0.
     pub fn speed_at(&self, t: f64) -> f64 {
-        if t <= self.start() + EPS || t > self.end() + EPS {
-            // On `(a, b]` segments, the instant `start` itself carries the
-            // first segment's value only for t slightly above it; at or
-            // before the grid start the machine is idle.
-            if approx_le(t, self.start()) {
-                return 0.0;
-            }
+        if approx_le(t, self.start()) || t > self.end() + EPS {
+            // On `(a, b]` segments, at or before the grid start (and past
+            // its end) the machine is idle.
             return 0.0;
         }
         // Binary search for the segment with breakpoints[i] < t <= breakpoints[i+1].

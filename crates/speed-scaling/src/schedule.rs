@@ -13,9 +13,25 @@
 //!
 //! Tests never trust an algorithm's self-reported energy: they recompute
 //! it from the slices.
-
-use std::collections::HashMap;
-
+//!
+//! ## Cost
+//!
+//! The overlap checks (2 and 3) sweep the midpoints of the elementary
+//! segments of the slice-event grid with an index-ordered set of the
+//! live slices, fed from start- and end-sorted cursors, so a segment
+//! with `m` live slices costs O(m²) pairwise tests instead of a rescan
+//! of all `S` slices. Window containment (1) and work conservation (4)
+//! read the requirements and slices grouped by job. A schedule whose
+//! machines never overlap checks in O((S + R) log(S + R)) for `R`
+//! requirements. [`Schedule::machine_profile`] uses the same sweep. The
+//! `schedule.live_visits` work counter records the live slices visited
+//! and `schedule.segments` the grid segments swept.
+//!
+//! Both are bit-identical to the textbook formulations that filter every
+//! slice per segment and per requirement (kept as test-only references):
+//! the same `Result`, error payloads included, and the same profile
+//! values, because live slices and each job's slices are visited and
+//! summed in slice order.
 
 use crate::job::JobId;
 use crate::time::{dedup_times, Interval, EPS, REL_TOL};
@@ -149,20 +165,20 @@ impl Schedule {
 
     /// The aggregate speed profile of machine `m` (0 where idle).
     pub fn machine_profile(&self, machine: usize) -> crate::profile::SpeedProfile {
-        let mine: Vec<&Slice> = self.slices.iter().filter(|s| s.machine == machine).collect();
+        let mine: Vec<usize> =
+            (0..self.slices.len()).filter(|&i| self.slices[i].machine == machine).collect();
         if mine.is_empty() {
             return crate::profile::SpeedProfile::zero();
         }
         let mut events: Vec<f64> = Vec::with_capacity(2 * mine.len());
-        for s in &mine {
-            events.push(s.start);
-            events.push(s.end);
+        for &i in &mine {
+            events.push(self.slices[i].start);
+            events.push(self.slices[i].end);
         }
+        let mut live = LiveSet::new(&self.slices, mine.into_iter());
         crate::profile::SpeedProfile::from_events(events, |t| {
-            mine.iter()
-                .filter(|s| s.start < t && t <= s.end)
-                .map(|s| s.speed)
-                .sum()
+            live.advance(t, |s| t <= s.end);
+            live.iter().map(|s| s.speed).sum()
         })
     }
 
@@ -188,19 +204,17 @@ impl Schedule {
 
         // 1. Window containment: every slice of a job must lie in the
         //    union of that job's requirement windows.
-        let mut windows: HashMap<JobId, Vec<Interval>> = HashMap::new();
-        for req in requirements {
-            windows.entry(req.id).or_default().push(req.window);
-        }
+        let windows = ByJob::new(requirements.iter().map(|r| r.id));
         for s in &self.slices {
-            let Some(ws) = windows.get(&s.job) else {
+            let mut ws = windows.of(s.job).map(|i| requirements[i].window).peekable();
+            if ws.peek().is_none() {
                 return Err(ScheduleError::OutsideWindow(s.job, *s));
-            };
+            }
             // The slice may straddle two adjacent windows of the same job
             // (query window followed by exact-work window), so check that
             // its interval is covered by the union.
             let iv = s.interval();
-            let covered: f64 = ws.iter().map(|w| w.overlap_len(&iv)).sum();
+            let covered: f64 = ws.map(|w| w.overlap_len(&iv)).sum();
             if covered + EPS < iv.len() {
                 return Err(ScheduleError::OutsideWindow(s.job, *s));
             }
@@ -208,40 +222,56 @@ impl Schedule {
 
         // 2. Machine exclusivity & 3. no intra-job parallelism. Sweep the
         //    union event grid; within each elementary segment every slice
-        //    is either fully present or absent.
+        //    is either fully present or absent, so the slices live at the
+        //    segment midpoint are exactly those overlapping the segment.
         let mut events: Vec<f64> = Vec::with_capacity(2 * self.slices.len());
         for s in &self.slices {
             events.push(s.start);
             events.push(s.end);
         }
         let events = dedup_times(events);
-        for w in events.windows(2) {
+        let mut live = LiveSet::new(&self.slices, 0..self.slices.len());
+        let mut at: Vec<&Slice> = Vec::new();
+        let (mut segments, mut live_visits) = (0_u64, 0_u64);
+        let overlap = events.windows(2).find_map(|w| {
             if w[1] - w[0] <= EPS {
-                continue;
+                return None;
             }
+            segments += 1;
             let t = 0.5 * (w[0] + w[1]);
-            let live: Vec<&Slice> =
-                self.slices.iter().filter(|s| s.start < t && t < s.end).collect();
-            for (i, a) in live.iter().enumerate() {
-                for b in &live[i + 1..] {
+            live.advance(t, |s| t < s.end);
+            at.clear();
+            at.extend(live.iter());
+            live_visits += at.len() as u64;
+            for (i, a) in at.iter().enumerate() {
+                for b in &at[i + 1..] {
                     if a.machine == b.machine {
-                        return Err(ScheduleError::MachineOverlap(**a, **b));
+                        return Some(ScheduleError::MachineOverlap(**a, **b));
                     }
                     if a.job == b.job {
-                        return Err(ScheduleError::JobParallelism(**a, **b));
+                        return Some(ScheduleError::JobParallelism(**a, **b));
                     }
                 }
             }
+            None
+        });
+        qbss_telemetry::counter!("schedule.segments").add(segments);
+        qbss_telemetry::counter!("schedule.live_visits").add(live_visits);
+        if let Some(err) = overlap {
+            return Err(err);
         }
 
         // 4. Work conservation, per requirement entry: the work delivered
-        //    to job `id` within the entry's window must match.
+        //    to job `id` within the entry's window must match. Each job's
+        //    slices are summed in slice order.
+        let slices = ByJob::new(self.slices.iter().map(|s| s.job));
         for req in requirements {
-            let got: f64 = self
-                .slices
-                .iter()
-                .filter(|s| s.job == req.id)
-                .map(|s| s.interval().overlap_len(&req.window) * s.speed)
+            let got: f64 = slices
+                .of(req.id)
+                .map(|i| {
+                    let s = &self.slices[i];
+                    s.interval().overlap_len(&req.window) * s.speed
+                })
                 .sum();
             let scale = req.work.abs().max(1.0);
             if (got - req.work).abs() > REL_TOL * scale {
@@ -262,10 +292,200 @@ impl Schedule {
     }
 }
 
+/// Positions of a list of records grouped by job id: sorted
+/// `(id, position)` pairs, so each job's positions form one run in their
+/// original order.
+struct ByJob(Vec<(JobId, usize)>);
+
+impl ByJob {
+    fn new(ids: impl Iterator<Item = JobId>) -> Self {
+        let mut keyed: Vec<(JobId, usize)> = ids.zip(0..).collect();
+        keyed.sort_unstable();
+        Self(keyed)
+    }
+
+    /// The positions of the records of job `id`, ascending.
+    fn of(&self, id: JobId) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.0.partition_point(|&(j, _)| j < id);
+        self.0[lo..].iter().take_while(move |&&(j, _)| j == id).map(|&(_, i)| i)
+    }
+}
+
+/// The slices live at a probe time that only moves forward, kept in
+/// slice-index order so that visiting them matches a filter over the
+/// whole slice list. Members enter from a start-sorted cursor and leave
+/// from an end-sorted one. The set is a sorted `Vec`: on a schedule that
+/// passes the overlap checks it never holds more slices than machines.
+struct LiveSet<'a> {
+    slices: &'a [Slice],
+    by_start: Vec<usize>,
+    by_end: Vec<usize>,
+    next_start: usize,
+    next_end: usize,
+    live: Vec<usize>,
+}
+
+impl<'a> LiveSet<'a> {
+    /// A sweep over the slices at `members`. A NaN endpoint fails every
+    /// comparison, so such a slice is never live and is left out.
+    fn new(slices: &'a [Slice], members: impl Iterator<Item = usize>) -> Self {
+        let mut by_start: Vec<usize> =
+            members.filter(|&i| !(slices[i].start.is_nan() || slices[i].end.is_nan())).collect();
+        let mut by_end = by_start.clone();
+        by_start.sort_unstable_by(|&a, &b| slices[a].start.total_cmp(&slices[b].start));
+        by_end.sort_unstable_by(|&a, &b| slices[a].end.total_cmp(&slices[b].end));
+        Self { slices, by_start, by_end, next_start: 0, next_end: 0, live: Vec::new() }
+    }
+
+    /// Moves the probe forward to `t`: afterwards the set holds exactly
+    /// the members with `start < t` that satisfy `ends_after` (which
+    /// must test `s.end` against `t`, so it only turns false as `t`
+    /// grows).
+    fn advance(&mut self, t: f64, ends_after: impl Fn(&Slice) -> bool) {
+        while let Some(&i) = self.by_start.get(self.next_start) {
+            if self.slices[i].start >= t {
+                break;
+            }
+            if ends_after(&self.slices[i]) {
+                let at = self.live.partition_point(|&j| j < i);
+                self.live.insert(at, i);
+            }
+            self.next_start += 1;
+        }
+        while let Some(&i) = self.by_end.get(self.next_end) {
+            if ends_after(&self.slices[i]) {
+                break;
+            }
+            if let Ok(at) = self.live.binary_search(&i) {
+                self.live.remove(at);
+            }
+            self.next_end += 1;
+        }
+    }
+
+    /// The live slices in slice-index order.
+    fn iter(&self) -> impl Iterator<Item = &'a Slice> + '_ {
+        self.live.iter().map(|&i| &self.slices[i])
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::HashMap;
+
+    use super::*;
+    use crate::profile::SpeedProfile;
+
+    pub(crate) fn check(
+        schedule: &Schedule,
+        requirements: &[WorkRequirement],
+    ) -> Result<(), ScheduleError> {
+        // 0. Structural validity.
+        for s in &schedule.slices {
+            if s.machine >= schedule.machines {
+                return Err(ScheduleError::BadMachine(*s));
+            }
+            if !(s.start.is_finite() && s.end.is_finite())
+                || s.end < s.start - EPS
+                || s.speed < 0.0
+                || !s.speed.is_finite()
+            {
+                return Err(ScheduleError::MalformedSlice(*s));
+            }
+        }
+
+        // 1. Window containment: every slice of a job must lie in the
+        //    union of that job's requirement windows.
+        let mut windows: HashMap<JobId, Vec<Interval>> = HashMap::new();
+        for req in requirements {
+            windows.entry(req.id).or_default().push(req.window);
+        }
+        for s in &schedule.slices {
+            let Some(ws) = windows.get(&s.job) else {
+                return Err(ScheduleError::OutsideWindow(s.job, *s));
+            };
+            // The slice may straddle two adjacent windows of the same job
+            // (query window followed by exact-work window), so check that
+            // its interval is covered by the union.
+            let iv = s.interval();
+            let covered: f64 = ws.iter().map(|w| w.overlap_len(&iv)).sum();
+            if covered + EPS < iv.len() {
+                return Err(ScheduleError::OutsideWindow(s.job, *s));
+            }
+        }
+
+        // 2. Machine exclusivity & 3. no intra-job parallelism. Sweep the
+        //    union event grid; within each elementary segment every slice
+        //    is either fully present or absent.
+        let mut events: Vec<f64> = Vec::with_capacity(2 * schedule.slices.len());
+        for s in &schedule.slices {
+            events.push(s.start);
+            events.push(s.end);
+        }
+        let events = dedup_times(events);
+        for w in events.windows(2) {
+            if w[1] - w[0] <= EPS {
+                continue;
+            }
+            let t = 0.5 * (w[0] + w[1]);
+            let live: Vec<&Slice> =
+                schedule.slices.iter().filter(|s| s.start < t && t < s.end).collect();
+            for (i, a) in live.iter().enumerate() {
+                for b in &live[i + 1..] {
+                    if a.machine == b.machine {
+                        return Err(ScheduleError::MachineOverlap(**a, **b));
+                    }
+                    if a.job == b.job {
+                        return Err(ScheduleError::JobParallelism(**a, **b));
+                    }
+                }
+            }
+        }
+
+        // 4. Work conservation, per requirement entry: the work delivered
+        //    to job `id` within the entry's window must match.
+        for req in requirements {
+            let got: f64 = schedule
+                .slices
+                .iter()
+                .filter(|s| s.job == req.id)
+                .map(|s| s.interval().overlap_len(&req.window) * s.speed)
+                .sum();
+            let scale = req.work.abs().max(1.0);
+            if (got - req.work).abs() > REL_TOL * scale {
+                return Err(ScheduleError::WrongWork(req.id, got, req.work));
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn machine_profile(schedule: &Schedule, machine: usize) -> SpeedProfile {
+        let mine: Vec<&Slice> = schedule.slices.iter().filter(|s| s.machine == machine).collect();
+        if mine.is_empty() {
+            return SpeedProfile::zero();
+        }
+        let mut events: Vec<f64> = Vec::with_capacity(2 * mine.len());
+        for s in &mine {
+            events.push(s.start);
+            events.push(s.end);
+        }
+        SpeedProfile::from_events(events, |t| {
+            mine.iter()
+                .filter(|s| s.start < t && t <= s.end)
+                .map(|s| s.speed)
+                .sum()
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::job::{Instance, Job};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn slice(job: JobId, machine: usize, start: f64, end: f64, speed: f64) -> Slice {
         Slice { job, machine, start, end, speed }
@@ -378,5 +598,186 @@ mod tests {
         sched.push(slice(0, 0, 1.0, 1.0, 5.0));
         sched.push(slice(0, 0, 1.0, 2.0, 0.0));
         assert!(sched.slices.is_empty());
+    }
+
+    /// A random instance with distinct ids; half the windows sit on an
+    /// integer grid so releases and deadlines tie.
+    fn random_instance(rng: &mut StdRng, n: usize) -> Instance {
+        Instance::new(
+            (0..n as u32)
+                .map(|id| {
+                    let (r, len) = if rng.gen_bool(0.5) {
+                        (rng.gen_range(0..10u32) as f64, rng.gen_range(1..4u32) as f64)
+                    } else {
+                        (rng.gen_range(0.0..10.0), rng.gen_range(0.1..4.0))
+                    };
+                    Job::new(id, r, r + len, rng.gen_range(0.1..3.0))
+                })
+                .collect(),
+        )
+    }
+
+    /// A valid schedule of `inst` from one of the substrates: EDF on one
+    /// machine (AVR, YDS) or three machines (migratory and non-migratory
+    /// AVR(m)).
+    fn random_schedule(rng: &mut StdRng, inst: &Instance) -> Schedule {
+        match rng.gen_range(0..4u32) {
+            0 => crate::avr::avr(inst).schedule,
+            1 => crate::yds::yds(inst).schedule,
+            2 => crate::multi::avr_m::avr_m(inst, 3).schedule,
+            _ => crate::multi::nonmig::avr_m_nonmig(inst, 3).schedule,
+        }
+    }
+
+    /// Breaks `sched` towards one `ScheduleError` variant (the checker may
+    /// still report an earlier one; both sides must agree on which).
+    fn doctor(rng: &mut StdRng, sched: &mut Schedule) {
+        if sched.slices.is_empty() {
+            return;
+        }
+        let k = rng.gen_range(0..sched.slices.len());
+        let mut s = sched.slices[k];
+        match rng.gen_range(0..6u32) {
+            0 => sched.slices[k].machine = sched.machines + rng.gen_range(0..2usize),
+            1 => {
+                match rng.gen_range(0..4u32) {
+                    0 => s.end = s.start - 1.0,
+                    1 => s.speed = -1.0,
+                    2 => s.start = f64::NAN,
+                    _ => s.speed = f64::INFINITY,
+                }
+                sched.slices[k] = s;
+            }
+            2 => {
+                if rng.gen_bool(0.5) {
+                    sched.slices[k].job = 9_999;
+                } else {
+                    let shift = rng.gen_range(2.0..6.0);
+                    sched.slices[k].start += shift;
+                    sched.slices[k].end += shift;
+                }
+            }
+            3 => sched.slices.push(s),
+            4 => {
+                sched.machines = sched.machines.max(3);
+                s.machine = (s.machine + rng.gen_range(1..3usize)) % sched.machines;
+                sched.slices.push(s);
+            }
+            _ => {
+                if rng.gen_bool(0.5) {
+                    sched.slices[k].speed *= 1.5;
+                } else {
+                    sched.slices.remove(k);
+                }
+            }
+        }
+        // The slice order decides which offending pair is reported.
+        if rng.gen_bool(0.3) {
+            let j = rng.gen_range(0..sched.slices.len());
+            sched.slices.swap(0, j);
+        }
+    }
+
+    /// Whether `machine_profile(m)` is defined rather than a panic: finite
+    /// slices at non-negative speed spanning two distinct times (or none).
+    fn profile_defined(sched: &Schedule, m: usize) -> bool {
+        let mine: Vec<&Slice> = sched.slices.iter().filter(|s| s.machine == m).collect();
+        let events = mine.iter().flat_map(|s| [s.start, s.end]).collect();
+        mine.iter().all(|s| {
+            s.start.is_finite() && s.end.is_finite() && s.speed.is_finite() && s.speed >= 0.0
+        })
+            && (mine.is_empty() || dedup_times(events).len() >= 2)
+    }
+
+    /// Production and reference agree exactly (`Debug` prints every f64
+    /// in shortest round-trip form, so equal strings mean equal bits),
+    /// for `check` and, wherever it is defined, `machine_profile`.
+    fn assert_matches_reference(sched: &Schedule, reqs: &[WorkRequirement]) -> String {
+        let new = format!("{:?}", sched.check(reqs));
+        let old = format!("{:?}", reference::check(sched, reqs));
+        assert_eq!(new, old, "schedule {sched:?}");
+        for m in (0..=sched.machines).filter(|&m| profile_defined(sched, m)) {
+            assert_eq!(
+                format!("{:?}", sched.machine_profile(m)),
+                format!("{:?}", reference::machine_profile(sched, m)),
+                "machine {m} of {sched:?}"
+            );
+        }
+        // The outcome's name: `Ok` or the error variant.
+        let name = new.strip_prefix("Err(").unwrap_or(&new);
+        name.split('(').next().unwrap_or_default().to_string()
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_valid_and_doctored_schedules() {
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        for case in 0..500u64 {
+            let mut rng = StdRng::seed_from_u64(0x5C4E_D0CE ^ case);
+            let n = rng.gen_range(1..25usize);
+            let inst = random_instance(&mut rng, n);
+            let mut sched = random_schedule(&mut rng, &inst);
+            let reqs = Schedule::requirements_of(&inst);
+            *seen.entry(assert_matches_reference(&sched, &reqs)).or_default() += 1;
+            for _ in 0..rng.gen_range(1..3u32) {
+                doctor(&mut rng, &mut sched);
+            }
+            *seen.entry(assert_matches_reference(&sched, &reqs)).or_default() += 1;
+        }
+        for kind in [
+            "Ok",
+            "BadMachine",
+            "MalformedSlice",
+            "OutsideWindow",
+            "MachineOverlap",
+            "JobParallelism",
+            "WrongWork",
+        ] {
+            assert!(seen.get(kind).copied().unwrap_or(0) >= 5, "{kind} barely exercised: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_edge_cases() {
+        let iv = Interval::new;
+        let reqs = vec![
+            WorkRequirement::new(0, iv(0.0, 2.0), 2.0),
+            WorkRequirement::new(1, iv(0.0, 2.0), 1.0),
+            WorkRequirement::new(1, iv(2.0, 3.0), 1.0),
+        ];
+        let schedules = vec![
+            // Slices meeting within EPS; a split job straddling windows.
+            vec![slice(0, 0, 0.0, 1.0 + 0.5 * EPS, 2.0), slice(1, 0, 1.0, 3.0, 1.0)],
+            // Three overlapping slices: the first offending pair in slice
+            // order is reported, machine overlap before parallelism.
+            vec![
+                slice(1, 1, 0.5, 1.5, 1.0),
+                slice(0, 0, 0.0, 2.0, 1.0),
+                slice(1, 0, 1.0, 2.0, 1.0),
+            ],
+            // A slightly reversed slice (within EPS) is never live.
+            vec![slice(0, 0, 1.0, 1.0 - 0.5 * EPS, 1.0), slice(0, 0, 0.0, 2.0, 1.0)],
+            // Zero-speed and zero-length slices, raw (not via `push`).
+            vec![
+                slice(0, 0, 0.0, 2.0, 1.0),
+                slice(1, 2, 0.5, 0.5, 3.0),
+                slice(1, 1, 0.0, 3.0, 0.0),
+            ],
+            vec![],
+        ];
+        for slices in schedules {
+            let sched = Schedule { slices, machines: 3 };
+            assert_matches_reference(&sched, &reqs);
+        }
+        // Past 2^30 one ULP exceeds EPS, so a segment midpoint can round
+        // onto a slice end: the open `t < end` test must match exactly.
+        for a in [1.7e9, 1.7e9 + 2.0f64.powi(-22), 3.1e9] {
+            let u = f64::from_bits(a.to_bits() + 1) - a;
+            let reqs = vec![
+                WorkRequirement::new(0, iv(a, a + 4.0 * u), u),
+                WorkRequirement::new(1, iv(a, a + 4.0 * u), 2.0 * u),
+            ];
+            let slices = vec![slice(0, 0, a, a + u, 1.0), slice(1, 0, a, a + 2.0 * u, 1.0)];
+            assert_matches_reference(&Schedule { slices, machines: 1 }, &reqs);
+        }
     }
 }
