@@ -1,43 +1,43 @@
 //! The algorithmic work observatory: pinned scaling scenarios,
-//! empirical complexity curves, and an **exact** asymptotic gate.
+//! empirical complexity curves, and an **exact** asymptotic gate — the
+//! `complexity` kind of the [observatory](crate::observatory).
 //!
-//! The perf observatory ([`crate::perf`]) watches wall time, which on a
-//! noisy CI box needs MAD slack of up to 25% — far too coarse to lock
-//! in (or even detect) asymptotic wins. The solvers, however, have
-//! crisp *work* profiles: YDS is interval scans, OA is hull pushes and
-//! pops, BKP is window slides, Frank–Wolfe is gradient evaluations.
-//! Every hot path increments a deterministic counter from the
+//! The perf kind ([`crate::perf`]) watches wall time, which on a noisy
+//! CI box needs MAD slack of up to 25% — far too coarse to lock in (or
+//! even detect) asymptotic wins. The solvers, however, have crisp
+//! *work* profiles: YDS is interval scans, OA is hull pushes and pops,
+//! BKP is window slides, Frank–Wolfe is gradient evaluations. Every hot
+//! path increments a deterministic counter from the
 //! [`qbss_core::work::WORK_COUNTERS`] catalog, counting algorithmic
 //! progress only — never wall clock, shard layout, or log level — so
 //! two runs of the same code produce *byte-identical* counts and the
-//! gate can be exact, the way the quality gate (PR 9) already is.
+//! gate can be exact, the way the quality gate already is.
 //!
 //! `qbss complexity record` sweeps each pinned scenario over its
-//! n-grid, captures the per-cell counter deltas by bracketing the run
-//! with two registry snapshots
-//! ([`qbss_telemetry::Registry::counter_values`]), fits a log-log
-//! least-squares slope per counter (the empirical exponent, with R²),
-//! and serializes a canonical `qbss-complexity-baseline/1` document —
-//! committed as `BENCH_complexity.json`. `qbss complexity gate`
-//! re-records and diffs: **any** increased op count at any grid point,
-//! any fitted-exponent increase beyond [`EXPONENT_TOL`], or lost
-//! counter/scenario coverage exits 3; `--explain` names the counter,
-//! grid point, and old → new counts. `QBSS_BLESS=1` re-blesses.
+//! n-grid, captures the per-cell counter deltas with the observatory's
+//! [`work_delta`] bracket, fits a log-log least-squares slope per
+//! counter (the empirical exponent, with R²), and serializes a
+//! canonical `qbss-complexity-baseline/1` document — committed as
+//! `BENCH_complexity.json`. The gate fails on **any** increased op count
+//! at any grid point, any fitted-exponent increase beyond
+//! [`EXPONENT_TOL`], or lost counter/scenario coverage; `--explain`
+//! names the counter, grid point, and old → new counts.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use qbss_core::pipeline::Algorithm;
-use qbss_core::work::is_work_counter;
 use qbss_instances::gen::{generate, GenConfig};
-use qbss_telemetry::{json_escape, json_f64, json_parse, JsonValue};
+use qbss_telemetry::{json_escape, json_f64, JsonValue};
 use speed_scaling::job::{Instance, Job};
 use speed_scaling::multi::multi_opt_frank_wolfe;
 use speed_scaling::stream::{release_ordered, AvrStream, BkpStream, OaStream};
 use speed_scaling::yds::yds_profile;
 
 use crate::engine::{run_sweep, EngineError, InstanceSource, SweepSpec};
-use crate::quality::BuildInfo;
+use crate::observatory::{
+    json_rows, object, open_document, pick, work_delta, BuildInfo, ExactFinding, ExactReport,
+    Gate, ObservatoryError, Scenario,
+};
 
 /// The on-disk schema tag; bump on incompatible baseline changes.
 pub const COMPLEXITY_SCHEMA: &str = "qbss-complexity-baseline/1";
@@ -52,22 +52,20 @@ pub const EXPONENT_TOL: f64 = 0.05;
 // Scenarios
 // ---------------------------------------------------------------------
 
-/// A pinned scaling scenario: a named workload executed at each size of
-/// an n-grid. Everything (generator seeds, algorithm parameters, grid)
-/// is pinned, so the counter deltas are a pure function of the code
-/// under test.
+/// A pinned scaling scenario. Everything (generator seeds, algorithm
+/// parameters, grid) is pinned, so the counter deltas are a pure
+/// function of the code under test.
+pub type ComplexityScenario = Scenario<Scaling>;
+
+/// What a scaling scenario runs: one workload at each size of an n-grid.
 #[derive(Debug, Clone, Copy)]
-pub struct ComplexityScenario {
-    /// Stable name (the baseline JSON key and the `--scenarios` token).
-    pub name: &'static str,
-    /// One-line description for `qbss complexity record` output.
-    pub description: &'static str,
+pub struct Scaling {
     /// The n-grid this scenario sweeps.
     pub grid: &'static [usize],
     run: fn(usize) -> Result<(), EngineError>,
 }
 
-impl ComplexityScenario {
+impl Scaling {
     /// Executes the pinned workload at size `n` (counter side effects
     /// land in the global registry; callers bracket with snapshots).
     pub fn run(&self, n: usize) -> Result<(), EngineError> {
@@ -151,45 +149,34 @@ pub fn scenarios() -> Vec<ComplexityScenario> {
         ComplexityScenario {
             name: "yds-offline",
             description: "one YDS solve per n, online family (critical-interval scans)",
-            grid: &[50, 100, 200, 400, 800],
-            run: run_yds,
+            work: Scaling { grid: &[50, 100, 200, 400, 800], run: run_yds },
         },
         ComplexityScenario {
             name: "avr-stream",
             description: "AVR stream fed release-ordered, one finish per n",
-            grid: &[500, 1000, 2000, 4000],
-            run: run_avr,
+            work: Scaling { grid: &[500, 1000, 2000, 4000], run: run_avr },
         },
         ComplexityScenario {
             name: "oa-stream",
             description: "OA stream fed release-ordered (hull maintenance per arrival)",
-            grid: &[200, 400, 800, 1600],
-            run: run_oa,
+            work: Scaling { grid: &[200, 400, 800, 1600], run: run_oa },
         },
         ComplexityScenario {
             name: "bkp-stream",
             description: "BKP stream fed release-ordered, intensity queries at finish",
-            grid: &[50, 100, 200, 400],
-            run: run_bkp,
+            work: Scaling { grid: &[50, 100, 200, 400], run: run_bkp },
         },
         ComplexityScenario {
             name: "fw-multi",
             description: "Frank-Wolfe OPT(m=3) at 12 iterations per n",
-            grid: &[8, 16, 32, 64],
-            run: run_fw,
+            work: Scaling { grid: &[8, 16, 32, 64], run: run_fw },
         },
         ComplexityScenario {
             name: "engine-online",
             description: "avrq+oaq x 3 seeds through the engine (streaming core + OPT memo)",
-            grid: &[40, 80, 160, 320],
-            run: run_engine,
+            work: Scaling { grid: &[40, 80, 160, 320], run: run_engine },
         },
     ]
-}
-
-/// Looks up a complexity scenario by name.
-pub fn scenario(name: &str) -> Option<ComplexityScenario> {
-    scenarios().into_iter().find(|s| s.name == name)
 }
 
 // ---------------------------------------------------------------------
@@ -278,89 +265,6 @@ pub struct ComplexityBaseline {
     pub scenarios: BTreeMap<String, ScenarioComplexity>,
 }
 
-/// Failures of the complexity layer.
-#[derive(Debug)]
-pub enum ComplexityError {
-    /// `--scenarios` named something that doesn't exist.
-    UnknownScenario(String),
-    /// A baseline file didn't match the schema.
-    Parse(String),
-    /// A scenario workload failed to run (a bug in the scenario table).
-    Engine(EngineError),
-}
-
-impl fmt::Display for ComplexityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ComplexityError::UnknownScenario(name) => {
-                let known: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
-                write!(f, "unknown scenario `{name}` (expected one of: {})", known.join(", "))
-            }
-            ComplexityError::Parse(reason) => {
-                write!(f, "invalid complexity baseline: {reason}")
-            }
-            ComplexityError::Engine(e) => write!(f, "scenario failed to run: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ComplexityError {}
-
-impl From<EngineError> for ComplexityError {
-    fn from(e: EngineError) -> Self {
-        ComplexityError::Engine(e)
-    }
-}
-
-/// Sweeps `names` (all scenarios when empty) over their n-grids and
-/// returns the recorded baseline. Each grid cell is bracketed by two
-/// global-registry snapshots; the difference is the cell's exact op
-/// counts, filtered to the catalogued work counters. Cells run
-/// serially in one process, so the deltas attribute cleanly.
-pub fn record(names: &[String]) -> Result<ComplexityBaseline, ComplexityError> {
-    let picked: Vec<ComplexityScenario> = if names.is_empty() {
-        scenarios()
-    } else {
-        names
-            .iter()
-            .map(|n| scenario(n).ok_or_else(|| ComplexityError::UnknownScenario(n.clone())))
-            .collect::<Result<_, _>>()?
-    };
-    let mut out = BTreeMap::new();
-    for sc in picked {
-        let mut series: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for (i, &n) in sc.grid.iter().enumerate() {
-            let before = qbss_telemetry::metrics().counter_values();
-            sc.run(n)?;
-            let after = qbss_telemetry::metrics().counter_values();
-            for (name, &v) in &after {
-                if !is_work_counter(name) {
-                    continue;
-                }
-                let delta = v - before.get(name).copied().unwrap_or(0);
-                series
-                    .entry(name.clone())
-                    .or_insert_with(|| vec![0; sc.grid.len()])[i] = delta;
-            }
-        }
-        // A counter the scenario never touches is someone else's
-        // coverage; keep only series with at least one positive count.
-        series.retain(|_, counts| counts.iter().any(|&c| c > 0));
-        let counters = series
-            .into_iter()
-            .map(|(counter, counts)| {
-                let fit = fit_loglog(sc.grid, &counts);
-                CounterSeries { counter, counts, fit }
-            })
-            .collect();
-        out.insert(
-            sc.name.to_string(),
-            ScenarioComplexity { grid: sc.grid.to_vec(), counters },
-        );
-    }
-    Ok(ComplexityBaseline { build: BuildInfo::capture(), scenarios: out })
-}
-
 // ---------------------------------------------------------------------
 // Serialization
 // ---------------------------------------------------------------------
@@ -372,45 +276,15 @@ fn json_fit(fit: Option<PowerFit>) -> (String, String) {
     }
 }
 
-impl ComplexityBaseline {
-    /// Canonical, human-diffable JSON (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(COMPLEXITY_SCHEMA)));
-        out.push_str(&format!(
-            "  \"build\": {{\"version\": \"{}\", \"git\": \"{}\"}},\n",
-            json_escape(&self.build.version),
-            json_escape(&self.build.git),
-        ));
-        out.push_str("  \"scenarios\": {\n");
-        let n = self.scenarios.len();
-        for (i, (name, s)) in self.scenarios.iter().enumerate() {
-            let grid: Vec<String> = s.grid.iter().map(|g| g.to_string()).collect();
-            out.push_str(&format!(
-                "    \"{}\": {{\"grid\": [{}], \"counters\": [\n",
-                json_escape(name),
-                grid.join(", ")
-            ));
-            let m = s.counters.len();
-            for (j, c) in s.counters.iter().enumerate() {
-                let counts: Vec<String> = c.counts.iter().map(|v| v.to_string()).collect();
-                let (exponent, r2) = json_fit(c.fit);
-                out.push_str(&format!(
-                    "      {{\"counter\": \"{}\", \"counts\": [{}], \
-                     \"exponent\": {}, \"r2\": {}}}{}\n",
-                    json_escape(&c.counter),
-                    counts.join(", "),
-                    exponent,
-                    r2,
-                    if j + 1 < m { "," } else { "" },
-                ));
-            }
-            out.push_str(&format!("    ]}}{}\n", if i + 1 < n { "," } else { "" }));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
+/// Reads the integer array at `v[key]` (`what` names it in errors).
+fn u64_array(v: &JsonValue, key: &str, what: &str) -> Result<Vec<u64>, String> {
+    let Some(JsonValue::Arr(items)) = v.get(key) else {
+        return Err(format!("{what} must have a `{key}` array"));
+    };
+    items.iter().map(|x| x.as_u64().ok_or_else(|| format!("{what} has a non-integer entry"))).collect()
+}
 
+impl ComplexityBaseline {
     /// The `(scenario, n, counter, count)` grid as CSV, for offline
     /// plotting (`qbss complexity record --format csv`).
     pub fn to_csv(&self) -> String {
@@ -424,96 +298,96 @@ impl ComplexityBaseline {
         }
         out
     }
+}
 
-    /// Parses a baseline produced by [`ComplexityBaseline::to_json`].
-    pub fn parse(input: &str) -> Result<ComplexityBaseline, ComplexityError> {
-        let bad = |reason: &str| ComplexityError::Parse(reason.to_string());
-        let v = json_parse(input).map_err(|e| ComplexityError::Parse(e.to_string()))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-        if schema != COMPLEXITY_SCHEMA {
-            return Err(ComplexityError::Parse(format!(
-                "schema `{schema}` (expected `{COMPLEXITY_SCHEMA}`)"
-            )));
-        }
-        let build = match v.get("build") {
-            Some(b) => BuildInfo {
-                version: b
-                    .get("version")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                git: b.get("git").and_then(JsonValue::as_str).unwrap_or("unknown").to_string(),
-            },
-            None => BuildInfo { version: "unknown".into(), git: "unknown".into() },
-        };
-        let JsonValue::Obj(entries) =
-            v.get("scenarios").ok_or_else(|| bad("missing `scenarios`"))?
-        else {
-            return Err(bad("`scenarios` must be an object"));
-        };
+impl Gate for ComplexityBaseline {
+    const KIND: &'static str = "complexity";
+    const SCHEMA: &'static str = COMPLEXITY_SCHEMA;
+    type Config = ();
+    type Report = ComplexityCompare;
+
+    /// Sweeps `names` (all scenarios when empty) over their n-grids and
+    /// returns the recorded baseline. Each grid cell runs inside the
+    /// [`work_delta`] bracket; cells run serially in one process, so the
+    /// deltas attribute cleanly. Counters a scenario never moves are
+    /// someone else's coverage and are left out.
+    fn record(names: &[String], _: &()) -> Result<Self, ObservatoryError> {
         let mut out = BTreeMap::new();
-        for (name, s) in entries {
-            let JsonValue::Arr(raw_grid) = s
-                .get("grid")
-                .ok_or_else(|| ComplexityError::Parse(format!("scenario `{name}`: missing `grid`")))?
-            else {
-                return Err(ComplexityError::Parse(format!(
-                    "scenario `{name}`: `grid` must be an array"
-                )));
-            };
-            let grid: Vec<usize> = raw_grid
-                .iter()
-                .map(|g| {
-                    g.as_u64().map(|u| u as usize).ok_or_else(|| {
-                        ComplexityError::Parse(format!("scenario `{name}`: non-integer grid point"))
-                    })
+        for sc in pick(scenarios(), names)? {
+            let grid = sc.work.grid;
+            let mut series: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+            for (i, &n) in grid.iter().enumerate() {
+                let (run, delta) = work_delta(|| sc.work.run(n));
+                run?;
+                for (name, d) in delta {
+                    series.entry(name).or_insert_with(|| vec![0; grid.len()])[i] = d;
+                }
+            }
+            let counters = series
+                .into_iter()
+                .map(|(counter, counts)| {
+                    let fit = fit_loglog(grid, &counts);
+                    CounterSeries { counter, counts, fit }
                 })
-                .collect::<Result<_, _>>()?;
-            let JsonValue::Arr(raw_counters) = s.get("counters").ok_or_else(|| {
-                ComplexityError::Parse(format!("scenario `{name}`: missing `counters`"))
-            })?
-            else {
-                return Err(ComplexityError::Parse(format!(
-                    "scenario `{name}`: `counters` must be an array"
-                )));
+                .collect();
+            out.insert(sc.name.to_string(), ScenarioComplexity { grid: grid.to_vec(), counters });
+        }
+        Ok(ComplexityBaseline { build: BuildInfo::capture(), scenarios: out })
+    }
+
+    fn scenario_names(&self) -> Vec<String> {
+        self.scenarios.keys().cloned().collect()
+    }
+
+    fn to_json(&self) -> String {
+        let mut out = open_document(COMPLEXITY_SCHEMA, &self.build.to_json());
+        out.push_str("  \"scenarios\": {\n");
+        out.push_str(&json_rows(self.scenarios.iter().map(|(name, s)| {
+            let grid: Vec<String> = s.grid.iter().map(|g| g.to_string()).collect();
+            let counters = json_rows(s.counters.iter().map(|c| {
+                let counts: Vec<String> = c.counts.iter().map(|v| v.to_string()).collect();
+                let (exponent, r2) = json_fit(c.fit);
+                format!(
+                    "      {{\"counter\": \"{}\", \"counts\": [{}], \
+                     \"exponent\": {exponent}, \"r2\": {r2}}}",
+                    json_escape(&c.counter),
+                    counts.join(", "),
+                )
+            }));
+            format!(
+                "    \"{}\": {{\"grid\": [{}], \"counters\": [\n{counters}    ]}}",
+                json_escape(name),
+                grid.join(", ")
+            )
+        })));
+        out.push_str("  }\n}\n");
+        out
+    }
+
+    fn from_json(doc: &JsonValue) -> Result<Self, String> {
+        let mut scenarios = BTreeMap::new();
+        for (name, s) in object(doc, "scenarios")? {
+            let grid: Vec<usize> = u64_array(s, "grid", &format!("scenario `{name}`"))?
+                .into_iter()
+                .map(|g| g as usize)
+                .collect();
+            let Some(JsonValue::Arr(raw_counters)) = s.get("counters") else {
+                return Err(format!("scenario `{name}`: `counters` must be an array"));
             };
             let mut counters = Vec::with_capacity(raw_counters.len());
             for c in raw_counters {
                 let counter = c
                     .get("counter")
                     .and_then(JsonValue::as_str)
-                    .ok_or_else(|| {
-                        ComplexityError::Parse(format!(
-                            "scenario `{name}`: series missing `counter`"
-                        ))
-                    })?
+                    .ok_or_else(|| format!("scenario `{name}`: series missing `counter`"))?
                     .to_string();
-                let JsonValue::Arr(raw_counts) = c.get("counts").ok_or_else(|| {
-                    ComplexityError::Parse(format!(
-                        "scenario `{name}`: `{counter}` missing `counts`"
-                    ))
-                })?
-                else {
-                    return Err(ComplexityError::Parse(format!(
-                        "scenario `{name}`: `{counter}` counts must be an array"
-                    )));
-                };
-                let counts: Vec<u64> = raw_counts
-                    .iter()
-                    .map(|x| {
-                        x.as_u64().ok_or_else(|| {
-                            ComplexityError::Parse(format!(
-                                "scenario `{name}`: `{counter}` has a non-integer count"
-                            ))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
+                let counts = u64_array(c, "counts", &format!("scenario `{name}`: `{counter}`"))?;
                 if counts.len() != grid.len() {
-                    return Err(ComplexityError::Parse(format!(
+                    return Err(format!(
                         "scenario `{name}`: `{counter}` has {} counts for {} grid points",
                         counts.len(),
                         grid.len()
-                    )));
+                    ));
                 }
                 let fit = match (
                     c.get("exponent").and_then(JsonValue::as_f64),
@@ -524,9 +398,13 @@ impl ComplexityBaseline {
                 };
                 counters.push(CounterSeries { counter, counts, fit });
             }
-            out.insert(name.clone(), ScenarioComplexity { grid, counters });
+            scenarios.insert(name.clone(), ScenarioComplexity { grid, counters });
         }
-        Ok(ComplexityBaseline { build, scenarios: out })
+        Ok(ComplexityBaseline { build: BuildInfo::from_json(doc), scenarios })
+    }
+
+    fn compare(base: &Self, new: &Self) -> ComplexityCompare {
+        compare(base, new)
     }
 }
 
@@ -552,14 +430,10 @@ pub struct ComplexityRegression {
     pub new: Option<f64>,
 }
 
-/// Everything `qbss complexity compare` / `gate` reports.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ComplexityCompare {
-    /// Counter series checked (both sides present, same grid).
-    pub checked: usize,
-    /// Exact regressions, in scenario/counter order.
-    pub regressions: Vec<ComplexityRegression>,
-}
+/// Everything `qbss complexity compare` / `gate` reports: counter
+/// series checked (both sides present, same grid) and the exact
+/// regressions, in scenario/counter order.
+pub type ComplexityCompare = ExactReport<ComplexityRegression>;
 
 fn fmt_val(what: &str, v: Option<f64>) -> String {
     match v {
@@ -569,85 +443,46 @@ fn fmt_val(what: &str, v: Option<f64>) -> String {
     }
 }
 
-impl ComplexityCompare {
-    /// `true` when no series worsened.
-    pub fn is_clean(&self) -> bool {
-        self.regressions.is_empty()
+impl ExactFinding for ComplexityRegression {
+    const KIND: &'static str = "complexity";
+    const CHECKED: &'static str = "counter series";
+
+    fn line(&self) -> String {
+        let at = self.n.map_or(String::new(), |n| format!(" @ n={n}"));
+        let counter = if self.counter.is_empty() { "-" } else { &self.counter };
+        format!(
+            "{}  {}  {}{}  {} -> {}  WORSE\n",
+            self.scenario,
+            counter,
+            self.what,
+            at,
+            fmt_val(self.what, self.base),
+            fmt_val(self.what, self.new)
+        )
     }
 
-    /// Human-readable summary: one line per regression plus a verdict.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regressions {
-            let at = r.n.map_or(String::new(), |n| format!(" @ n={n}"));
-            let counter = if r.counter.is_empty() { "-" } else { &r.counter };
-            out.push_str(&format!(
-                "{}  {}  {}{}  {} -> {}  WORSE\n",
-                r.scenario,
-                counter,
-                r.what,
-                at,
-                fmt_val(r.what, r.base),
-                fmt_val(r.what, r.new)
-            ));
-        }
-        if self.is_clean() {
-            out.push_str(&format!(
-                "no complexity regression ({} counter series checked)\n",
-                self.checked
-            ));
-        } else {
-            out.push_str(&format!("{} complexity regression(s)\n", self.regressions.len()));
-        }
-        out
-    }
-
-    /// Diagnostic rendering: every regression with the counter, grid
-    /// point, and old → new values spelled out.
-    pub fn render_explain(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regressions {
-            match r.what {
-                "op count" => {
-                    let n = r.n.map_or("-".to_string(), |n| n.to_string());
-                    out.push_str(&format!(
-                        "scenario `{}` counter `{}`: op count at n={} worsened {} -> {}\n",
-                        r.scenario,
-                        r.counter,
-                        n,
-                        fmt_val(r.what, r.base),
-                        fmt_val(r.what, r.new)
-                    ));
-                }
-                "exponent" => {
-                    out.push_str(&format!(
-                        "scenario `{}` counter `{}`: fitted exponent worsened {} -> {} \
-                         (tolerance +{EXPONENT_TOL})\n",
-                        r.scenario,
-                        r.counter,
-                        fmt_val(r.what, r.base),
-                        fmt_val(r.what, r.new)
-                    ));
-                }
-                _ => {
-                    let counter =
-                        if r.counter.is_empty() { String::new() } else { format!(" `{}`", r.counter) };
-                    out.push_str(&format!(
-                        "scenario `{}`{}: {}\n",
-                        r.scenario, counter, r.what
-                    ));
-                }
+    /// The regression with the counter, grid point, and old → new values
+    /// spelled out.
+    fn explain(&self) -> String {
+        let (base, new) = (fmt_val(self.what, self.base), fmt_val(self.what, self.new));
+        match self.what {
+            "op count" => format!(
+                "scenario `{}` counter `{}`: op count at n={} worsened {base} -> {new}\n",
+                self.scenario,
+                self.counter,
+                self.n.map_or("-".to_string(), |n| n.to_string()),
+            ),
+            "exponent" => format!(
+                "scenario `{}` counter `{}`: fitted exponent worsened {base} -> {new} \
+                 (tolerance +{EXPONENT_TOL})\n",
+                self.scenario, self.counter,
+            ),
+            _ => {
+                let counter =
+                    if self.counter.is_empty() { String::new() } else { format!(" `{}`", self.counter) };
+                format!("scenario `{}`{}: {}\n", self.scenario, counter, self.what)
             }
         }
-        if self.is_clean() {
-            out.push_str(&format!(
-                "no complexity regression ({} counter series checked, exact comparison)\n",
-                self.checked
-            ));
-        } else {
-            out.push_str(&format!("{} complexity regression(s)\n", self.regressions.len()));
-        }
-        out
     }
 }
 
@@ -660,66 +495,47 @@ impl ComplexityCompare {
 pub fn compare(base: &ComplexityBaseline, new: &ComplexityBaseline) -> ComplexityCompare {
     let mut report = ComplexityCompare::default();
     for (name, b) in &base.scenarios {
-        let Some(n) = new.scenarios.get(name) else {
-            report.regressions.push(ComplexityRegression {
-                scenario: name.clone(),
-                counter: String::new(),
-                what: "scenario removed",
-                n: None,
-                base: None,
-                new: None,
-            });
-            continue;
-        };
-        if b.grid != n.grid {
-            report.regressions.push(ComplexityRegression {
-                scenario: name.clone(),
-                counter: String::new(),
-                what: "grid changed",
-                n: None,
-                base: Some(b.grid.len() as f64),
-                new: Some(n.grid.len() as f64),
-            });
-            continue; // counts at different sizes don't compare
-        }
-        for bc in &b.counters {
-            let Some(nc) = n.counters.iter().find(|c| c.counter == bc.counter) else {
-                report.regressions.push(ComplexityRegression {
-                    scenario: name.clone(),
-                    counter: bc.counter.clone(),
-                    what: "counter removed",
-                    n: None,
-                    base: None,
-                    new: None,
-                });
-                continue;
-            };
-            report.checked += 1;
-            for ((&gn, &bv), &nv) in b.grid.iter().zip(&bc.counts).zip(&nc.counts) {
-                if nv > bv {
-                    report.regressions.push(ComplexityRegression {
-                        scenario: name.clone(),
-                        counter: bc.counter.clone(),
-                        what: "op count",
-                        n: Some(gn),
-                        base: Some(bv as f64),
-                        new: Some(nv as f64),
-                    });
-                }
+        // Every worsened quantity of this scenario:
+        // (counter, what, grid point, base, new).
+        let mut worse = Vec::new();
+        match new.scenarios.get(name) {
+            None => worse.push(("", "scenario removed", None, None, None)),
+            // Counts at different sizes don't compare.
+            Some(n) if b.grid != n.grid => {
+                let (bl, nl) = (b.grid.len() as f64, n.grid.len() as f64);
+                worse.push(("", "grid changed", None, Some(bl), Some(nl)));
             }
-            if let (Some(bf), Some(nf)) = (bc.fit, nc.fit) {
-                if nf.exponent > bf.exponent + EXPONENT_TOL {
-                    report.regressions.push(ComplexityRegression {
-                        scenario: name.clone(),
-                        counter: bc.counter.clone(),
-                        what: "exponent",
-                        n: None,
-                        base: Some(bf.exponent),
-                        new: Some(nf.exponent),
-                    });
+            Some(n) => {
+                for bc in &b.counters {
+                    let c = bc.counter.as_str();
+                    let Some(nc) = n.counters.iter().find(|x| x.counter == bc.counter) else {
+                        worse.push((c, "counter removed", None, None, None));
+                        continue;
+                    };
+                    report.checked += 1;
+                    for ((&gn, &bv), &nv) in b.grid.iter().zip(&bc.counts).zip(&nc.counts) {
+                        if nv > bv {
+                            worse.push((c, "op count", Some(gn), Some(bv as f64), Some(nv as f64)));
+                        }
+                    }
+                    if let (Some(bf), Some(nf)) = (bc.fit, nc.fit) {
+                        if nf.exponent > bf.exponent + EXPONENT_TOL {
+                            worse.push((c, "exponent", None, Some(bf.exponent), Some(nf.exponent)));
+                        }
+                    }
                 }
             }
         }
+        report.regressions.extend(worse.into_iter().map(|(counter, what, n, b, nv)| {
+            ComplexityRegression {
+                scenario: name.clone(),
+                counter: counter.to_string(),
+                what,
+                n,
+                base: b,
+                new: nv,
+            }
+        }));
     }
     report
 }
@@ -727,6 +543,11 @@ pub fn compare(base: &ComplexityBaseline, new: &ComplexityBaseline) -> Complexit
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observatory::GateReport;
+
+    fn scenario(name: &str) -> Option<ComplexityScenario> {
+        pick(scenarios(), &[name.to_string()]).ok().map(|mut v| v.remove(0))
+    }
 
     fn series(counter: &str, grid: &[usize], counts: &[u64]) -> CounterSeries {
         CounterSeries {
@@ -761,8 +582,8 @@ mod tests {
         assert!(scenario("yds-offline").is_some());
         assert!(scenario("nope").is_none());
         for s in &all {
-            assert!(s.grid.len() >= 2, "{}: need >= 2 grid points for a fit", s.name);
-            assert!(s.grid.windows(2).all(|w| w[0] < w[1]), "{}: grid must grow", s.name);
+            assert!(s.work.grid.len() >= 2, "{}: need >= 2 grid points for a fit", s.name);
+            assert!(s.work.grid.windows(2).all(|w| w[0] < w[1]), "{}: grid must grow", s.name);
         }
     }
 
@@ -816,10 +637,10 @@ mod tests {
 
     #[test]
     fn parse_rejects_foreign_or_broken_documents() {
-        assert!(matches!(ComplexityBaseline::parse("{}"), Err(ComplexityError::Parse(_))));
+        assert!(matches!(ComplexityBaseline::parse("{}"), Err(ObservatoryError::Parse { .. })));
         assert!(matches!(
             ComplexityBaseline::parse("not json"),
-            Err(ComplexityError::Parse(_))
+            Err(ObservatoryError::Parse { .. })
         ));
         let wrong = "{\"schema\": \"qbss-complexity-baseline/999\", \"scenarios\": {}}";
         let err = ComplexityBaseline::parse(wrong).expect_err("wrong schema");
@@ -922,8 +743,8 @@ mod tests {
 
     #[test]
     fn unknown_scenario_is_rejected() {
-        let err = record(&["bogus".to_string()]).expect_err("unknown scenario");
-        assert!(matches!(err, ComplexityError::UnknownScenario(_)));
+        let err = ComplexityBaseline::record(&["bogus".to_string()], &()).expect_err("unknown scenario");
+        assert!(matches!(err, ObservatoryError::UnknownScenario { .. }));
         assert!(err.to_string().contains("yds-offline"), "{err}");
     }
 }

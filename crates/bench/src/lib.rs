@@ -27,6 +27,7 @@
 pub mod complexity;
 pub mod engine;
 pub mod ensemble;
+pub mod observatory;
 pub mod par;
 pub mod perf;
 pub mod quality;
@@ -41,9 +42,10 @@ pub use engine::{
     GroupAggregate, InstanceSource, Instrumentation, StreamAgg, SweepSpec,
 };
 pub use engine::WorstCell;
-pub use complexity::{ComplexityBaseline, ComplexityCompare, ComplexityError};
+pub use complexity::{ComplexityBaseline, ComplexityCompare};
 pub use ensemble::{measure_ensemble, EnsembleReport};
-pub use quality::{BuildInfo, QualityBaseline, QualityCompare, QualityError};
+pub use observatory::{BuildInfo, ExactReport, Gate, GateReport, ObservatoryError};
+pub use quality::{QualityBaseline, QualityCompare};
 pub use par::{par_map, par_map_seeds, par_map_stealing};
 pub use request::{RequestError, SweepRequest};
 pub use search::coordinate_ascent;

@@ -1,5 +1,6 @@
 //! Statistical perf baselines: named sweep scenarios, warmup + repeat
-//! measurement, and a noise-aware regression gate.
+//! measurement, and a noise-aware regression gate — the `perf` kind of
+//! the [observatory](crate::observatory).
 //!
 //! `qbss perf record` runs every requested [`Scenario`] through the
 //! sharded engine with `warmup` discarded runs followed by `repeats`
@@ -11,22 +12,26 @@
 //!
 //! The regression rule is deliberately noise-aware: a scenario regresses
 //! only when the new median exceeds the old one by more than
-//! `max(mad_factor · MAD, min_rel · median)` — MAD (median absolute
-//! deviation) is a robust spread estimate, and the relative floor keeps
-//! 1-core CI hosts with near-zero MAD from flaking. Defaults
-//! ([`Threshold::default`]) are 3×MAD with a 25% floor.
+//! `max(3·MAD, 25% · median)` ([`MAD_FACTOR`], [`MIN_REL`]) — MAD
+//! (median absolute deviation) is a robust spread estimate, and the
+//! relative floor keeps 1-core CI hosts with near-zero MAD from flaking.
+//! The rule is fixed: an intentional slowdown is accepted by re-blessing
+//! the baseline, never by loosening the threshold.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::time::Instant;
 
 use qbss_core::model::QbssInstance;
 use qbss_core::pipeline::{run_evaluated, Algorithm};
 use qbss_instances::gen::{generate, Compressibility, GenConfig, QueryModel, TimeModel};
 use qbss_telemetry::profile::{PathDelta, Profile, PROFILE_SCHEMA};
-use qbss_telemetry::{json_escape, json_f64, json_parse, JsonValue, RingSink};
+use qbss_telemetry::{json_escape, json_f64, JsonValue, RingSink};
 
-use crate::engine::{run_sweep, EngineError, InstanceSource, SweepSpec};
+use crate::engine::{run_sweep, InstanceSource, SweepSpec};
+use crate::observatory::{
+    json_rows, object, open_document, pick, work_delta, EnvFingerprint, Gate, GateReport,
+    ObservatoryError,
+};
 
 /// The on-disk schema tag; bump on incompatible baseline changes.
 pub const BASELINE_SCHEMA: &str = "qbss-perf-baseline/1";
@@ -35,20 +40,12 @@ pub const BASELINE_SCHEMA: &str = "qbss-perf-baseline/1";
 // Scenarios
 // ---------------------------------------------------------------------
 
-/// A named, fully pinned workload. Everything about it is deterministic
-/// (seeded generators, fixed grids); only wall time varies between runs.
-#[derive(Debug, Clone, Copy)]
-pub struct Scenario {
-    /// Stable name (the baseline JSON key and the `--scenarios` token).
-    pub name: &'static str,
-    /// One-line description for `qbss perf record` output.
-    pub description: &'static str,
-    kind: Kind,
-}
+/// A perf scenario: only wall time varies between its runs.
+pub type Scenario = crate::observatory::Scenario<Kind>;
 
 /// What a scenario actually runs when timed.
 #[derive(Debug, Clone, Copy)]
-enum Kind {
+pub enum Kind {
     /// A sweep through the sharded engine (OPT substrate, caches,
     /// aggregation — the end-to-end cost a `qbss sweep` user pays).
     Sweep(fn() -> SweepSpec),
@@ -87,7 +84,7 @@ impl Prepared {
     }
 
     /// Runs the workload once (one timed or warmup repetition).
-    fn run_once(&self, shards: usize) -> Result<(), PerfError> {
+    fn run_once(&self, shards: usize) -> Result<(), ObservatoryError> {
         match self {
             Prepared::Sweep(spec) => {
                 run_sweep(spec, shards)?;
@@ -95,7 +92,7 @@ impl Prepared {
             Prepared::Eval(spec) => {
                 for inst in &spec.instances {
                     run_evaluated(inst, spec.alpha, spec.alg)
-                        .map_err(|e| PerfError::Cell(e.to_string()))?;
+                        .map_err(|e| ObservatoryError::Cell(e.to_string()))?;
                 }
             }
         }
@@ -107,7 +104,7 @@ impl Scenario {
     /// The pinned sweep spec this scenario measures, or `None` for
     /// direct-evaluation scenarios that bypass the engine.
     pub fn spec(&self) -> Option<SweepSpec> {
-        match self.kind {
+        match self.work {
             Kind::Sweep(build) => Some(build()),
             Kind::Eval(_) => None,
         }
@@ -115,7 +112,7 @@ impl Scenario {
 
     /// Builds the workload (generating instances for eval scenarios).
     fn prepare(&self) -> Prepared {
-        match self.kind {
+        match self.work {
             Kind::Sweep(build) => Prepared::Sweep(build()),
             Kind::Eval(build) => Prepared::Eval(build()),
         }
@@ -229,40 +226,36 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "ci-small",
             description: "3 online algorithms × 2 α × 400 common-deadline instances (n=10)",
-            kind: Kind::Sweep(ci_small),
+            work: Kind::Sweep(ci_small),
         },
         Scenario {
             name: "engine-all",
             description: "all 9 configurations × 2 α × 8 common-deadline instances (n=8)",
-            kind: Kind::Sweep(engine_all),
+            work: Kind::Sweep(engine_all),
         },
         Scenario {
             name: "online-large",
             description: "3 online algorithms × 16 online instances (n=40)",
-            kind: Kind::Sweep(online_large),
+            work: Kind::Sweep(online_large),
         },
         Scenario {
             name: "multi-machine",
             description: "3 multi-machine configurations (m=3) × 8 online instances (n=16)",
-            kind: Kind::Sweep(multi_machine),
+            work: Kind::Sweep(multi_machine),
         },
         Scenario {
             name: "serve-sweep",
             description: "the loadgen /sweep payload: avrq+bkpq × 2 α × 3 instances (n=8)",
-            kind: Kind::Sweep(serve_sweep),
+            work: Kind::Sweep(serve_sweep),
         },
         Scenario {
             name: "stream-large",
             description: "the OA arrival path: oaq × 2 dense online instances (n=1200)",
-            kind: Kind::Eval(stream_large),
+            work: Kind::Eval(stream_large),
         },
     ]
 }
 
-/// Looks up a scenario by name.
-pub fn scenario(name: &str) -> Option<Scenario> {
-    scenarios().into_iter().find(|s| s.name == name)
-}
 
 // ---------------------------------------------------------------------
 // Recording
@@ -285,6 +278,17 @@ impl Default for PerfConfig {
     }
 }
 
+impl PerfConfig {
+    /// Rejects a configuration no recording may use: zero timed repeats
+    /// leave no sample to take a median of.
+    pub fn validate(&self) -> Result<(), ObservatoryError> {
+        if self.repeats == 0 {
+            return Err(ObservatoryError::Config("--repeats must be at least 1".into()));
+        }
+        Ok(())
+    }
+}
+
 /// Robust statistics of one scenario's timed runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioStats {
@@ -298,54 +302,6 @@ pub struct ScenarioStats {
     pub mad_ms: f64,
     /// Fastest sample, ms.
     pub min_ms: f64,
-}
-
-/// Where and how a baseline was recorded. Compared baselines from
-/// different environments are still diffable — the fingerprint is
-/// informational, surfaced in reports so cross-host noise is explicable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvFingerprint {
-    /// Hostname (best effort; `"unknown"` when undiscoverable).
-    pub host: String,
-    /// `std::env::consts::OS`.
-    pub os: String,
-    /// `std::env::consts::ARCH`.
-    pub arch: String,
-    /// Available cores at record time.
-    pub cores: usize,
-    /// `rustc --version` output (best effort).
-    pub rustc: String,
-}
-
-impl EnvFingerprint {
-    /// Captures the current environment.
-    pub fn capture() -> Self {
-        let host = std::env::var("HOSTNAME")
-            .ok()
-            .filter(|h| !h.is_empty())
-            .or_else(|| {
-                std::fs::read_to_string("/proc/sys/kernel/hostname")
-                    .ok()
-                    .map(|h| h.trim().to_string())
-                    .filter(|h| !h.is_empty())
-            })
-            .unwrap_or_else(|| "unknown".to_string());
-        let rustc = std::process::Command::new("rustc")
-            .arg("--version")
-            .output()
-            .ok()
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
-        Self {
-            host,
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-            cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            rustc,
-        }
-    }
 }
 
 /// A recorded perf baseline: fingerprint, recording config, and one
@@ -377,43 +333,6 @@ pub struct Baseline {
 /// Schema tag of the optional `work_counters` baseline section.
 pub const WORK_SCHEMA: &str = "qbss-perf-work/1";
 
-/// Failures of the perf layer.
-#[derive(Debug)]
-pub enum PerfError {
-    /// `--scenarios` named something that doesn't exist.
-    UnknownScenario(String),
-    /// A baseline file didn't match the schema.
-    Parse(String),
-    /// The engine rejected a scenario spec (a bug in the scenario
-    /// table).
-    Engine(EngineError),
-    /// A direct-evaluation scenario cell failed (a bug in the scenario
-    /// table).
-    Cell(String),
-}
-
-impl fmt::Display for PerfError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PerfError::UnknownScenario(name) => {
-                let known: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
-                write!(f, "unknown scenario `{name}` (expected one of: {})", known.join(", "))
-            }
-            PerfError::Parse(reason) => write!(f, "invalid perf baseline: {reason}"),
-            PerfError::Engine(e) => write!(f, "scenario failed to run: {e}"),
-            PerfError::Cell(reason) => write!(f, "scenario cell failed to run: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for PerfError {}
-
-impl From<EngineError> for PerfError {
-    fn from(e: EngineError) -> Self {
-        PerfError::Engine(e)
-    }
-}
-
 /// Median of `xs` (0 when empty). Robust location estimate: the average
 /// of the two middle order statistics for even lengths.
 pub fn median(xs: &[f64]) -> f64 {
@@ -441,12 +360,8 @@ pub fn mad(xs: &[f64], center: f64) -> f64 {
 }
 
 /// Runs `names` (all scenarios when empty) under `config` and returns
-/// the recorded baseline (no profiles — see [`record_profiled`]).
-pub fn record(names: &[String], config: PerfConfig) -> Result<Baseline, PerfError> {
-    record_profiled(names, config, None)
-}
-
-/// [`record`], optionally folding a span profile per scenario.
+/// the recorded baseline, optionally folding a span profile per
+/// scenario ([`Gate::record`] records without).
 ///
 /// `profile_ring` is the live ring sink the caller installed as the
 /// telemetry pipeline (spans on): the recorder drains it after warmup
@@ -457,19 +372,12 @@ pub fn record_profiled(
     names: &[String],
     config: PerfConfig,
     profile_ring: Option<&RingSink>,
-) -> Result<Baseline, PerfError> {
-    let picked: Vec<Scenario> = if names.is_empty() {
-        scenarios()
-    } else {
-        names
-            .iter()
-            .map(|n| scenario(n).ok_or_else(|| PerfError::UnknownScenario(n.clone())))
-            .collect::<Result<_, _>>()?
-    };
+) -> Result<Baseline, ObservatoryError> {
+    config.validate()?;
     let mut stats = BTreeMap::new();
     let mut profiles = BTreeMap::new();
     let mut work_counters = BTreeMap::new();
-    for sc in picked {
+    for sc in pick(scenarios(), names)? {
         let prepared = sc.prepare();
         let cells = prepared.cells();
         let _span = qbss_telemetry::span!("perf.scenario", {
@@ -486,32 +394,28 @@ pub fn record_profiled(
         }
         let mut samples_ms = Vec::with_capacity(config.repeats);
         let mut span_records = Vec::new();
-        for rep in 0..config.repeats.max(1) {
+        let timed = || -> Result<f64, ObservatoryError> {
+            let t0 = Instant::now();
+            prepared.run_once(config.shards)?;
+            Ok(t0.elapsed().as_secs_f64() * 1e3)
+        };
+        for rep in 0..config.repeats {
             // Work counters are deterministic per run, so bracketing
             // the first timed repeat captures the scenario's exact
             // per-run op counts with no extra execution.
-            let counters_before =
-                (rep == 0).then(|| qbss_telemetry::metrics().counter_values());
-            let t0 = Instant::now();
-            prepared.run_once(config.shards)?;
-            samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            if let Some(before) = counters_before {
-                let after = qbss_telemetry::metrics().counter_values();
-                let delta: BTreeMap<String, u64> = after
-                    .into_iter()
-                    .filter(|(name, _)| qbss_core::work::is_work_counter(name))
-                    .map(|(name, v)| {
-                        let d = v - before.get(&name).copied().unwrap_or(0);
-                        (name, d)
-                    })
-                    .filter(|&(_, d)| d > 0)
-                    .collect();
+            let sample_ms = if rep == 0 {
+                let (sample_ms, delta) = work_delta(timed);
                 work_counters.insert(sc.name.to_string(), delta);
-            }
+                sample_ms?
+            } else {
+                timed()?
+            };
+            samples_ms.push(sample_ms);
             if let Some(ring) = profile_ring {
                 let jsonl = ring.drain_contents();
-                let records = qbss_telemetry::trace::parse_trace(&jsonl)
-                    .map_err(|e| PerfError::Parse(format!("profile ring: {e}")))?;
+                let records = qbss_telemetry::trace::parse_trace(&jsonl).map_err(|e| {
+                    ObservatoryError::Parse { kind: "perf", reason: format!("profile ring: {e}") }
+                })?;
                 span_records.extend(records);
             }
         }
@@ -546,143 +450,117 @@ pub fn record_profiled(
 // Serialization
 // ---------------------------------------------------------------------
 
-impl Baseline {
-    /// Canonical, human-diffable JSON (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(BASELINE_SCHEMA)));
-        out.push_str(&format!(
-            "  \"env\": {{\"host\": \"{}\", \"os\": \"{}\", \"arch\": \"{}\", \
-             \"cores\": {}, \"rustc\": \"{}\"}},\n",
-            json_escape(&self.env.host),
-            json_escape(&self.env.os),
-            json_escape(&self.env.arch),
-            self.env.cores,
-            json_escape(&self.env.rustc),
-        ));
+/// Appends an optional schema-versioned per-scenario section
+/// (`profiles`, `work_counters`); an empty one is omitted, so baselines
+/// recorded without it keep their exact bytes.
+fn write_section(out: &mut String, key: &str, schema: &str, entries: Vec<(&String, String)>) {
+    if entries.is_empty() {
+        return;
+    }
+    out.push_str(&format!(",\n  \"{key}\": {{\n"));
+    out.push_str(&format!("    \"schema\": \"{}\",\n", json_escape(schema)));
+    out.push_str("    \"scenarios\": {\n");
+    out.push_str(&json_rows(
+        entries.into_iter().map(|(name, body)| format!("      \"{}\": {body}", json_escape(name))),
+    ));
+    out.push_str("    }\n  }");
+}
+
+/// The per-scenario members of an optional section written by
+/// [`write_section`] (none when the section is absent).
+fn read_section<'a>(
+    doc: &'a JsonValue,
+    key: &str,
+    schema: &str,
+) -> Result<&'a [(String, JsonValue)], String> {
+    let Some(section) = doc.get(key) else {
+        return Ok(&[]);
+    };
+    let found = section.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
+    if found != schema {
+        return Err(format!("{key} schema `{found}` (expected `{schema}`)"));
+    }
+    object(section, "scenarios").map_err(|e| format!("`{key}`: {e}"))
+}
+
+impl Gate for Baseline {
+    const KIND: &'static str = "perf";
+    const SCHEMA: &'static str = BASELINE_SCHEMA;
+    type Config = PerfConfig;
+    type Report = CompareReport;
+
+    fn record(names: &[String], config: &PerfConfig) -> Result<Self, ObservatoryError> {
+        record_profiled(names, *config, None)
+    }
+
+    fn scenario_names(&self) -> Vec<String> {
+        self.scenarios.keys().cloned().collect()
+    }
+
+    fn to_json(&self) -> String {
+        let mut out = open_document(BASELINE_SCHEMA, &self.env.to_json());
         out.push_str(&format!(
             "  \"config\": {{\"warmup\": {}, \"repeats\": {}, \"shards\": {}}},\n",
             self.config.warmup, self.config.repeats, self.config.shards
         ));
         out.push_str("  \"scenarios\": {\n");
-        let n = self.scenarios.len();
-        for (i, (name, s)) in self.scenarios.iter().enumerate() {
-            let samples = s
-                .samples_ms
-                .iter()
-                .map(|&x| json_f64(x))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
+        out.push_str(&json_rows(self.scenarios.iter().map(|(name, s)| {
+            let samples: Vec<String> = s.samples_ms.iter().map(|&x| json_f64(x)).collect();
+            format!(
                 "    \"{}\": {{\"cells\": {}, \"median_ms\": {}, \"mad_ms\": {}, \
-                 \"min_ms\": {}, \"samples_ms\": [{samples}]}}{}\n",
+                 \"min_ms\": {}, \"samples_ms\": [{}]}}",
                 json_escape(name),
                 s.cells,
                 json_f64(s.median_ms),
                 json_f64(s.mad_ms),
                 json_f64(s.min_ms),
-                if i + 1 < n { "," } else { "" },
-            ));
-        }
+                samples.join(", "),
+            )
+        })));
         out.push_str("  }");
-        if !self.profiles.is_empty() {
-            // Schema-versioned, optional: baselines recorded without
-            // --profile (and every pre-profiling baseline) omit it.
-            out.push_str(",\n  \"profiles\": {\n");
-            out.push_str(&format!("    \"schema\": \"{}\",\n", json_escape(PROFILE_SCHEMA)));
-            out.push_str("    \"scenarios\": {\n");
-            let n = self.profiles.len();
-            for (i, (name, p)) in self.profiles.iter().enumerate() {
-                out.push_str(&format!(
-                    "      \"{}\": {}{}\n",
-                    json_escape(name),
-                    p.to_json(),
-                    if i + 1 < n { "," } else { "" },
-                ));
-            }
-            out.push_str("    }\n  }");
-        }
-        if !self.work_counters.is_empty() {
-            // Same optional-section shape as `profiles`: pre-observatory
-            // baselines omit it and still parse.
-            out.push_str(",\n  \"work_counters\": {\n");
-            out.push_str(&format!("    \"schema\": \"{}\",\n", json_escape(WORK_SCHEMA)));
-            out.push_str("    \"scenarios\": {\n");
-            let n = self.work_counters.len();
-            for (i, (name, counters)) in self.work_counters.iter().enumerate() {
+        let profiles = self.profiles.iter().map(|(name, p)| (name, p.to_json())).collect();
+        write_section(&mut out, "profiles", PROFILE_SCHEMA, profiles);
+        let counters = self
+            .work_counters
+            .iter()
+            .map(|(name, counters)| {
                 let body: Vec<String> = counters
                     .iter()
                     .map(|(c, v)| format!("\"{}\": {v}", json_escape(c)))
                     .collect();
-                out.push_str(&format!(
-                    "      \"{}\": {{{}}}{}\n",
-                    json_escape(name),
-                    body.join(", "),
-                    if i + 1 < n { "," } else { "" },
-                ));
-            }
-            out.push_str("    }\n  }");
-        }
+                (name, format!("{{{}}}", body.join(", ")))
+            })
+            .collect();
+        write_section(&mut out, "work_counters", WORK_SCHEMA, counters);
         out.push_str("\n}\n");
         out
     }
 
-    /// Parses a baseline produced by [`Baseline::to_json`].
-    pub fn parse(input: &str) -> Result<Baseline, PerfError> {
-        let bad = |reason: &str| PerfError::Parse(reason.to_string());
-        let v = json_parse(input).map_err(|e| PerfError::Parse(e.to_string()))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-        if schema != BASELINE_SCHEMA {
-            return Err(PerfError::Parse(format!(
-                "schema `{schema}` (expected `{BASELINE_SCHEMA}`)"
-            )));
-        }
-        let env = v.get("env").ok_or_else(|| bad("missing `env`"))?;
-        let get_str = |obj: &JsonValue, key: &str| -> String {
-            obj.get(key).and_then(JsonValue::as_str).unwrap_or("unknown").to_string()
-        };
-        let env = EnvFingerprint {
-            host: get_str(env, "host"),
-            os: get_str(env, "os"),
-            arch: get_str(env, "arch"),
-            cores: env.get("cores").and_then(JsonValue::as_u64).unwrap_or(1) as usize,
-            rustc: get_str(env, "rustc"),
-        };
-        let cfg = v.get("config").ok_or_else(|| bad("missing `config`"))?;
-        let get_usize = |obj: &JsonValue, key: &str, default: usize| -> usize {
-            obj.get(key).and_then(JsonValue::as_u64).map_or(default, |n| n as usize)
+    fn from_json(doc: &JsonValue) -> Result<Self, String> {
+        let env = EnvFingerprint::from_json(doc)?;
+        let cfg = doc.get("config").ok_or("missing `config`")?;
+        let get_usize = |key: &str, default: usize| {
+            cfg.get(key).and_then(JsonValue::as_u64).map_or(default, |n| n as usize)
         };
         let config = PerfConfig {
-            warmup: get_usize(cfg, "warmup", 0),
-            repeats: get_usize(cfg, "repeats", 0),
-            shards: get_usize(cfg, "shards", 1),
-        };
-        let JsonValue::Obj(entries) = v.get("scenarios").ok_or_else(|| bad("missing `scenarios`"))?
-        else {
-            return Err(bad("`scenarios` must be an object"));
+            warmup: get_usize("warmup", 0),
+            repeats: get_usize("repeats", 0),
+            shards: get_usize("shards", 1),
         };
         let mut scenarios = BTreeMap::new();
-        for (name, s) in entries {
-            let need_f64 = |key: &str| -> Result<f64, PerfError> {
-                s.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-                    PerfError::Parse(format!("scenario `{name}`: missing number `{key}`"))
-                })
+        for (name, s) in object(doc, "scenarios")? {
+            let need_f64 = |key: &str| {
+                s.get(key)
+                    .and_then(JsonValue::as_f64)
+                    .ok_or_else(|| format!("scenario `{name}`: missing number `{key}`"))
             };
-            let samples_ms = match s.get("samples_ms") {
-                Some(JsonValue::Arr(items)) => items
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().ok_or_else(|| {
-                            PerfError::Parse(format!("scenario `{name}`: non-numeric sample"))
-                        })
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?,
-                _ => {
-                    return Err(PerfError::Parse(format!(
-                        "scenario `{name}`: missing `samples_ms` array"
-                    )))
-                }
+            let Some(JsonValue::Arr(items)) = s.get("samples_ms") else {
+                return Err(format!("scenario `{name}`: missing `samples_ms` array"));
             };
+            let samples_ms = items
+                .iter()
+                .map(|x| x.as_f64().ok_or_else(|| format!("scenario `{name}`: non-numeric sample")))
+                .collect::<Result<Vec<f64>, _>>()?;
             scenarios.insert(
                 name.clone(),
                 ScenarioStats {
@@ -695,61 +573,32 @@ impl Baseline {
             );
         }
         let mut profiles = BTreeMap::new();
-        if let Some(section) = v.get("profiles") {
-            let schema =
-                section.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-            if schema != PROFILE_SCHEMA {
-                return Err(PerfError::Parse(format!(
-                    "profiles schema `{schema}` (expected `{PROFILE_SCHEMA}`)"
-                )));
-            }
-            let JsonValue::Obj(entries) = section
-                .get("scenarios")
-                .ok_or_else(|| bad("`profiles` missing `scenarios`"))?
-            else {
-                return Err(bad("`profiles.scenarios` must be an object"));
-            };
-            for (name, p) in entries {
-                let profile = Profile::from_json(p).map_err(|e| {
-                    PerfError::Parse(format!("profile for scenario `{name}`: {e}"))
-                })?;
-                profiles.insert(name.clone(), profile);
-            }
+        for (name, p) in read_section(doc, "profiles", PROFILE_SCHEMA)? {
+            let profile = Profile::from_json(p)
+                .map_err(|e| format!("profile for scenario `{name}`: {e}"))?;
+            profiles.insert(name.clone(), profile);
         }
         let mut work_counters = BTreeMap::new();
-        if let Some(section) = v.get("work_counters") {
-            let schema =
-                section.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-            if schema != WORK_SCHEMA {
-                return Err(PerfError::Parse(format!(
-                    "work_counters schema `{schema}` (expected `{WORK_SCHEMA}`)"
-                )));
-            }
-            let JsonValue::Obj(entries) = section
-                .get("scenarios")
-                .ok_or_else(|| bad("`work_counters` missing `scenarios`"))?
-            else {
-                return Err(bad("`work_counters.scenarios` must be an object"));
+        for (name, c) in read_section(doc, "work_counters", WORK_SCHEMA)? {
+            let JsonValue::Obj(counters) = c else {
+                return Err(format!("work counters for scenario `{name}` must be an object"));
             };
-            for (name, c) in entries {
-                let JsonValue::Obj(counters) = c else {
-                    return Err(PerfError::Parse(format!(
-                        "work counters for scenario `{name}` must be an object"
-                    )));
-                };
-                let mut map = BTreeMap::new();
-                for (counter, value) in counters {
+            let map = counters
+                .iter()
+                .map(|(counter, value)| {
                     let v = value.as_u64().ok_or_else(|| {
-                        PerfError::Parse(format!(
-                            "scenario `{name}` counter `{counter}`: non-integer count"
-                        ))
+                        format!("scenario `{name}` counter `{counter}`: non-integer count")
                     })?;
-                    map.insert(counter.clone(), v);
-                }
-                work_counters.insert(name.clone(), map);
-            }
+                    Ok((counter.clone(), v))
+                })
+                .collect::<Result<_, String>>()?;
+            work_counters.insert(name.clone(), map);
         }
         Ok(Baseline { env, config, scenarios, profiles, work_counters })
+    }
+
+    fn compare(base: &Self, new: &Self) -> CompareReport {
+        compare(base, new)
     }
 }
 
@@ -757,28 +606,22 @@ impl Baseline {
 // Comparison / gating
 // ---------------------------------------------------------------------
 
-/// The noise-aware regression threshold (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Threshold {
-    /// How many base-MADs of slack a scenario gets.
-    pub mad_factor: f64,
-    /// Relative floor on the slack, as a fraction of the base median.
-    pub min_rel: f64,
+/// How many base-MADs of slack a scenario gets.
+pub const MAD_FACTOR: f64 = 3.0;
+
+/// Relative floor on the slack, as a fraction of the base value.
+pub const MIN_REL: f64 = 0.25;
+
+/// The noise slack over a base value with spread `mad_ms`:
+/// `max(MAD_FACTOR × MAD, MIN_REL × base)`.
+fn slack_ms(base_ms: f64, mad_ms: f64) -> f64 {
+    (MAD_FACTOR * mad_ms).max(MIN_REL * base_ms)
 }
 
-impl Default for Threshold {
-    fn default() -> Self {
-        Self { mad_factor: 3.0, min_rel: 0.25 }
-    }
-}
-
-impl Threshold {
-    /// The slowest acceptable new median for a scenario with base
-    /// statistics `(median, mad)`.
-    pub fn limit_ms(&self, base_median_ms: f64, base_mad_ms: f64) -> f64 {
-        base_median_ms
-            + (self.mad_factor * base_mad_ms).max(self.min_rel * base_median_ms)
-    }
+/// The slowest acceptable new median for a scenario with base
+/// statistics `(median, mad)`.
+pub fn limit_ms(base_median_ms: f64, base_mad_ms: f64) -> f64 {
+    base_median_ms + slack_ms(base_median_ms, base_mad_ms)
 }
 
 /// How many call paths a regression is attributed to at most.
@@ -840,6 +683,18 @@ pub struct ScenarioDelta {
     pub counter_moves: Option<Vec<CounterMove>>,
 }
 
+impl ScenarioDelta {
+    /// The scenario's one-word verdict.
+    fn verdict(&self) -> &'static str {
+        match (self.regressed, self.new_ms, self.base_ms) {
+            (true, _, _) => "REGRESSED",
+            (false, None, _) => "removed",
+            (false, _, None) => "new",
+            (false, _, _) => "ok",
+        }
+    }
+}
+
 /// One work counter whose per-run count changed between two baselines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterMove {
@@ -864,9 +719,9 @@ fn counter_moves(
     base: &BTreeMap<String, u64>,
     new: &BTreeMap<String, u64>,
 ) -> Vec<CounterMove> {
-    let mut names: Vec<&String> = base.keys().collect();
-    names.extend(new.keys().filter(|k| !base.contains_key(*k)));
+    let mut names: Vec<&String> = base.keys().chain(new.keys()).collect();
     names.sort();
+    names.dedup();
     names
         .into_iter()
         .filter_map(|name| {
@@ -885,58 +740,55 @@ pub struct CompareReport {
 }
 
 impl CompareReport {
-    /// The regressed scenarios.
-    pub fn regressions(&self) -> Vec<&ScenarioDelta> {
+    /// The closing line of both renderings.
+    fn footer(&self) -> String {
+        if self.is_clean() {
+            "no perf regression\n".to_string()
+        } else {
+            format!("{}\n", self.verdict())
+        }
+    }
+}
+
+impl GateReport for CompareReport {
+    type Finding = ScenarioDelta;
+
+    fn regressions(&self) -> Vec<&ScenarioDelta> {
         self.deltas.iter().filter(|d| d.regressed).collect()
     }
 
+    fn verdict(&self) -> String {
+        format!("{} scenario(s) regressed", self.regressions().len())
+    }
+
     /// Human-readable table: one line per scenario plus a verdict.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
         for d in &self.deltas {
-            let fmt_opt = |v: Option<f64>| {
-                v.map_or("-".to_string(), |x| format!("{x:.1}"))
-            };
-            let verdict = match (d.regressed, d.new_ms, d.base_ms) {
-                (true, _, _) => "REGRESSED",
-                (false, None, _) => "removed",
-                (false, _, None) => "new",
-                (false, _, _) => "ok",
-            };
+            let fmt_opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.1}"));
             out.push_str(&format!(
                 "{}  base {} ms  new {} ms  limit {} ms  {}\n",
                 d.name,
                 fmt_opt(d.base_ms),
                 fmt_opt(d.new_ms),
                 fmt_opt(d.limit_ms),
-                verdict
+                d.verdict()
             ));
         }
-        let regressed = self.regressions().len();
-        if regressed == 0 {
-            out.push_str("no perf regression\n");
-        } else {
-            out.push_str(&format!("{regressed} scenario(s) regressed\n"));
-        }
-        out
+        out + &self.footer()
     }
 
     /// Diagnostic table: every number that feeds the gate decision, so
     /// a CI failure can be understood from the log alone. Columns are
     /// the base median/MAD, the new median, the computed limit
-    /// (`base + max(mad_factor×MAD, min_rel×base)`), and the delta of
-    /// the new median against the base.
-    pub fn render_explain(&self, threshold: Threshold) -> String {
+    /// (`base + max(3×MAD, 0.25×base)`), and the delta of the new
+    /// median against the base; each regression then gets its
+    /// profile blame and its work-counter cross-reference.
+    fn render_explain(&self) -> String {
         let fmt_opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.2}"));
         let fmt_delta = |d: &ScenarioDelta| match (d.base_ms, d.new_ms) {
             (Some(b), Some(n)) => format!("{:+.2}", n - b),
             _ => "-".to_string(),
-        };
-        let verdict = |d: &ScenarioDelta| match (d.regressed, d.new_ms, d.base_ms) {
-            (true, _, _) => "REGRESSED",
-            (false, None, _) => "removed",
-            (false, _, None) => "new",
-            (false, _, _) => "ok",
         };
         let mut rows: Vec<[String; 7]> = vec![[
             "scenario".into(),
@@ -955,7 +807,7 @@ impl CompareReport {
                 fmt_opt(d.new_ms),
                 fmt_opt(d.limit_ms),
                 fmt_delta(d),
-                verdict(d).to_string(),
+                d.verdict().to_string(),
             ]);
         }
         let mut widths = [0usize; 7];
@@ -974,10 +826,7 @@ impl CompareReport {
             out.push_str(line.join("  ").trim_end());
             out.push('\n');
         }
-        out.push_str(&format!(
-            "limit = base + max({}×mad, {}×base)\n",
-            threshold.mad_factor, threshold.min_rel
-        ));
+        out.push_str(&format!("limit = base + max({MAD_FACTOR}×mad, {MIN_REL}×base)\n"));
         for d in self.regressions() {
             if d.base_ms.is_none() || d.new_ms.is_none() {
                 continue; // appeared/disappeared — nothing to attribute
@@ -1035,13 +884,7 @@ impl CompareReport {
                 None => {} // no snapshots on one side; nothing to say
             }
         }
-        let regressed = self.regressions().len();
-        if regressed == 0 {
-            out.push_str("no perf regression\n");
-        } else {
-            out.push_str(&format!("{regressed} scenario(s) regressed\n"));
-        }
-        out
+        out + &self.footer()
     }
 }
 
@@ -1051,16 +894,15 @@ impl CompareReport {
 /// Profiles fold *all* timed repeats, so self times are normalized by
 /// each side's `repeats` before comparing. A path is blamed when its
 /// per-run self time grew by more than
-/// `max(mad_factor × base MAD, min_rel × base per-run self)` — the
-/// same slack shape the gate grants the scenario median, applied
-/// per path. Top [`BLAME_TOP_K`] by delta, largest first.
+/// `max(3 × base MAD, 25% × base per-run self)` — the same slack shape
+/// the gate grants the scenario median, applied per path. Top
+/// [`BLAME_TOP_K`] by delta, largest first.
 fn blame_paths(
     base: &Profile,
     base_repeats: usize,
     base_mad_ms: f64,
     new: &Profile,
     new_repeats: usize,
-    threshold: Threshold,
 ) -> Vec<PathBlame> {
     let base_runs = base_repeats.max(1) as f64;
     let new_runs = new_repeats.max(1) as f64;
@@ -1069,9 +911,7 @@ fn blame_paths(
         .filter_map(|d: PathDelta| {
             let base_self_ms = d.base_self_us as f64 / 1e3 / base_runs;
             let new_self_ms = d.new_self_us as f64 / 1e3 / new_runs;
-            let slack_ms =
-                (threshold.mad_factor * base_mad_ms).max(threshold.min_rel * base_self_ms);
-            if new_self_ms - base_self_ms <= slack_ms {
+            if new_self_ms - base_self_ms <= slack_ms(base_self_ms, base_mad_ms) {
                 return None;
             }
             Some(PathBlame {
@@ -1088,88 +928,52 @@ fn blame_paths(
     blamed
 }
 
-/// Diffs `new` against `base` under `threshold`. A scenario present in
-/// `base` but missing from `new` counts as regressed (coverage must not
-/// silently shrink); a scenario only in `new` is informational.
-pub fn compare(base: &Baseline, new: &Baseline, threshold: Threshold) -> CompareReport {
-    let mut names: Vec<&String> = base.scenarios.keys().collect();
-    for k in new.scenarios.keys() {
-        if !base.scenarios.contains_key(k) {
-            names.push(k);
-        }
-    }
+/// Diffs `new` against `base` under the noise-aware limit. A scenario
+/// present in `base` but missing from `new` counts as regressed
+/// (coverage must not silently shrink); a scenario only in `new` is
+/// informational. Only a regression carries profile blame and the
+/// work-counter cross-reference.
+pub fn compare(base: &Baseline, new: &Baseline) -> CompareReport {
+    let mut names: Vec<&String> = base.scenarios.keys().chain(new.scenarios.keys()).collect();
     names.sort();
+    names.dedup();
     let deltas = names
         .into_iter()
         .map(|name| {
-            let b = base.scenarios.get(name);
-            let n = new.scenarios.get(name);
-            let base_prof = base.profiles.get(name);
-            let new_prof = new.profiles.get(name);
-            let has_profiles = base_prof.is_some() && new_prof.is_some();
-            let base_has_profile = base_prof.is_some();
-            match (b, n) {
-                (Some(b), Some(n)) => {
-                    let limit = threshold.limit_ms(b.median_ms, b.mad_ms);
-                    let regressed = n.median_ms > limit;
-                    let blame = match (regressed, base_prof, new_prof) {
-                        (true, Some(bp), Some(np)) => blame_paths(
-                            bp,
-                            base.config.repeats,
-                            b.mad_ms,
-                            np,
-                            new.config.repeats,
-                            threshold,
-                        ),
+            let (b, n) = (base.scenarios.get(name), new.scenarios.get(name));
+            let (base_prof, new_prof) = (base.profiles.get(name), new.profiles.get(name));
+            let both = b.zip(n);
+            let limit = both.map(|(b, _)| limit_ms(b.median_ms, b.mad_ms));
+            let regressed = match (both, limit) {
+                (Some((_, n)), Some(limit)) => n.median_ms > limit,
+                _ => b.is_some() && n.is_none(),
+            };
+            let (blame, counter_moves) = match both.filter(|_| regressed) {
+                Some((b, _)) => (
+                    match (base_prof, new_prof) {
+                        (Some(bp), Some(np)) => {
+                            blame_paths(bp, base.config.repeats, b.mad_ms, np, new.config.repeats)
+                        }
                         _ => Vec::new(),
-                    };
-                    // Counter cross-reference: only meaningful for a
-                    // regression, and only when both sides snapshot.
-                    let moves = match (
-                        regressed,
-                        base.work_counters.get(name),
-                        new.work_counters.get(name),
-                    ) {
-                        (true, Some(bc), Some(nc)) => Some(counter_moves(bc, nc)),
-                        _ => None,
-                    };
-                    ScenarioDelta {
-                        name: name.clone(),
-                        base_ms: Some(b.median_ms),
-                        base_mad_ms: Some(b.mad_ms),
-                        new_ms: Some(n.median_ms),
-                        limit_ms: Some(limit),
-                        regressed,
-                        has_profiles,
-                        base_has_profile,
-                        blame,
-                        counter_moves: moves,
-                    }
-                }
-                (Some(b), None) => ScenarioDelta {
-                    name: name.clone(),
-                    base_ms: Some(b.median_ms),
-                    base_mad_ms: Some(b.mad_ms),
-                    new_ms: None,
-                    limit_ms: None,
-                    regressed: true,
-                    has_profiles,
-                    base_has_profile,
-                    blame: Vec::new(),
-                    counter_moves: None,
-                },
-                (None, n) => ScenarioDelta {
-                    name: name.clone(),
-                    base_ms: None,
-                    base_mad_ms: None,
-                    new_ms: n.map(|n| n.median_ms),
-                    limit_ms: None,
-                    regressed: false,
-                    has_profiles,
-                    base_has_profile,
-                    blame: Vec::new(),
-                    counter_moves: None,
-                },
+                    },
+                    base.work_counters
+                        .get(name)
+                        .zip(new.work_counters.get(name))
+                        .map(|(bc, nc)| counter_moves(bc, nc)),
+                ),
+                None => (Vec::new(), None),
+            };
+            ScenarioDelta {
+                name: name.clone(),
+                base_ms: b.map(|b| b.median_ms),
+                base_mad_ms: b.map(|b| b.mad_ms),
+                new_ms: n.map(|n| n.median_ms),
+                limit_ms: limit,
+                regressed,
+                has_profiles: base_prof.is_some() && new_prof.is_some(),
+                base_has_profile: base_prof.is_some(),
+                blame,
+                counter_moves,
             }
         })
         .collect();
@@ -1179,6 +983,10 @@ pub fn compare(base: &Baseline, new: &Baseline, threshold: Threshold) -> Compare
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scenario(name: &str) -> Option<Scenario> {
+        pick(scenarios(), &[name.to_string()]).ok().map(|mut v| v.remove(0))
+    }
 
     fn stats(samples: &[f64]) -> ScenarioStats {
         let median_ms = median(samples);
@@ -1250,8 +1058,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_foreign_or_broken_documents() {
-        assert!(matches!(Baseline::parse("{}"), Err(PerfError::Parse(_))));
-        assert!(matches!(Baseline::parse("not json"), Err(PerfError::Parse(_))));
+        assert!(matches!(Baseline::parse("{}"), Err(ObservatoryError::Parse { .. })));
+        assert!(matches!(Baseline::parse("not json"), Err(ObservatoryError::Parse { .. })));
         let wrong = "{\"schema\": \"qbss-perf-baseline/999\", \"env\": {}, \
                      \"config\": {}, \"scenarios\": {}}";
         let err = Baseline::parse(wrong).expect_err("wrong schema");
@@ -1263,11 +1071,11 @@ mod tests {
         let base = baseline(&[("a", &[100.0, 102.0, 98.0])]);
         // Within the 25% floor: not a regression.
         let ok = baseline(&[("a", &[110.0, 112.0, 108.0])]);
-        let report = compare(&base, &ok, Threshold::default());
+        let report = compare(&base, &ok);
         assert!(report.regressions().is_empty(), "{}", report.render());
         // 2× slowdown: regression.
         let slow = baseline(&[("a", &[200.0, 202.0, 198.0])]);
-        let report = compare(&base, &slow, Threshold::default());
+        let report = compare(&base, &slow);
         assert_eq!(report.regressions().len(), 1);
         assert!(report.render().contains("REGRESSED"), "{}", report.render());
     }
@@ -1275,7 +1083,7 @@ mod tests {
     #[test]
     fn identical_baselines_never_regress() {
         let b = baseline(&[("a", &[50.0, 51.0]), ("b", &[7.0, 7.0, 7.0])]);
-        let report = compare(&b, &b.clone(), Threshold::default());
+        let report = compare(&b, &b.clone());
         assert!(report.regressions().is_empty());
         assert!(report.render().contains("no perf regression"));
     }
@@ -1284,7 +1092,7 @@ mod tests {
     fn missing_scenario_is_a_regression_new_scenario_is_not() {
         let base = baseline(&[("a", &[50.0]), ("b", &[60.0])]);
         let new = baseline(&[("a", &[50.0]), ("c", &[10.0])]);
-        let report = compare(&base, &new, Threshold::default());
+        let report = compare(&base, &new);
         let regressed: Vec<&str> =
             report.regressions().iter().map(|d| d.name.as_str()).collect();
         assert_eq!(regressed, ["b"], "dropped coverage must fail the gate");
@@ -1296,8 +1104,7 @@ mod tests {
     fn explain_table_carries_every_gate_input() {
         let base = baseline(&[("a", &[100.0, 102.0, 98.0]), ("gone", &[5.0])]);
         let new = baseline(&[("a", &[200.0, 202.0, 198.0]), ("fresh", &[1.0])]);
-        let t = Threshold::default();
-        let out = compare(&base, &new, t).render_explain(t);
+        let out = compare(&base, &new).render_explain();
         // Header plus the three scenarios, then the limit formula.
         for needle in [
             "scenario", "base ms", "mad ms", "new ms", "limit ms", "delta ms", "verdict",
@@ -1367,10 +1174,9 @@ mod tests {
             "a",
             &[("yds.intervals_scanned", 1000)],
         );
-        let t = Threshold::default();
-        let report = compare(&base, &noisy, t);
+        let report = compare(&base, &noisy);
         assert_eq!(report.deltas[0].counter_moves, Some(vec![]));
-        let out = report.render_explain(t);
+        let out = report.render_explain();
         assert!(out.contains("work counters unchanged — likely timer noise"), "{out}");
         // Same regression with moved counts: explain must name the
         // counter with old → new and the relative change.
@@ -1379,16 +1185,16 @@ mod tests {
             "a",
             &[("yds.intervals_scanned", 1380)],
         );
-        let report = compare(&base, &real, t);
+        let report = compare(&base, &real);
         let moves = report.deltas[0].counter_moves.as_ref().expect("both sides snapshot");
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].counter, "yds.intervals_scanned");
-        let out = report.render_explain(t);
+        let out = report.render_explain();
         assert!(out.contains("real work change"), "{out}");
         assert!(out.contains("yds.intervals_scanned  1000 → 1380 (+38%)"), "{out}");
         // No snapshot on one side: neither note appears.
         let bare = baseline(&[("a", &[300.0, 300.0])]);
-        let out = compare(&base, &bare, t).render_explain(t);
+        let out = compare(&base, &bare).render_explain();
         assert!(!out.contains("timer noise") && !out.contains("real work change"), "{out}");
         // Non-regressed scenarios never carry the cross-reference.
         let fine = with_counters(
@@ -1396,13 +1202,13 @@ mod tests {
             "a",
             &[("yds.intervals_scanned", 1380)],
         );
-        assert_eq!(compare(&base, &fine, t).deltas[0].counter_moves, None);
+        assert_eq!(compare(&base, &fine).deltas[0].counter_moves, None);
     }
 
     #[test]
     fn record_snapshots_work_counters_beside_timings() {
         let cfg = PerfConfig { warmup: 0, repeats: 2, shards: 1 };
-        let b = record(&["ci-small".to_string()], cfg).expect("scenario runs");
+        let b = Baseline::record(&["ci-small".to_string()], &cfg).expect("scenario runs");
         let counters = b.work_counters.get("ci-small").expect("snapshot captured");
         assert!(
             counters.keys().all(|k| qbss_core::work::is_work_counter(k)),
@@ -1441,14 +1247,13 @@ mod tests {
             "a",
             "root 0 5\nroot;hot 950000 50\nroot;cold 50000 50\n",
         );
-        let t = Threshold::default();
-        let report = compare(&base, &new, t);
+        let report = compare(&base, &new);
         let d = &report.deltas[0];
         assert!(d.regressed && d.has_profiles);
         assert_eq!(d.blame.len(), 1, "{:?}", d.blame);
         assert_eq!(d.blame[0].path, "root;hot");
         assert!((d.blame[0].delta_ms() - 100.0).abs() < 1e-9);
-        let out = report.render_explain(t);
+        let out = report.render_explain();
         assert!(out.contains("self-time attribution"), "{out}");
         assert!(out.contains("root;hot  +100.00 ms self (90.00 → 190.00)  count 50 → 50"), "{out}");
         assert!(!out.contains("root;cold"), "flat path must not be blamed:\n{out}");
@@ -1460,13 +1265,12 @@ mod tests {
         // explain output must say so, not just ask for --profile.
         let base = baseline(&[("a", &[100.0, 100.0])]);
         let new = baseline(&[("a", &[300.0, 300.0])]);
-        let t = Threshold::default();
-        let out = compare(&base, &new, t).render_explain(t);
+        let out = compare(&base, &new).render_explain();
         assert!(out.contains("no profile data in baseline"), "{out}");
         // The base carries a profile, only the new run lacks one: the
         // fix lives on the recording side, and the note says which.
         let base = with_profile(base, "a", "root;hot 300000 3\n");
-        let out = compare(&base, &new, t).render_explain(t);
+        let out = compare(&base, &new).render_explain();
         assert!(out.contains("record both baselines with --profile"), "{out}");
         assert!(!out.contains("no profile data in baseline"), "{out}");
     }
@@ -1485,21 +1289,19 @@ mod tests {
             "a",
             "root;hot 360000 3\n",  // +20 ms/run < 3×MAD = 30 ms
         );
-        let t = Threshold::default();
-        let report = compare(&base, &new, t);
+        let report = compare(&base, &new);
         assert!(report.deltas[0].regressed);
         assert!(report.deltas[0].blame.is_empty());
-        let out = report.render_explain(t);
+        let out = report.render_explain();
         assert!(out.contains("no single call path moved past the noise threshold"), "{out}");
     }
 
     #[test]
     fn threshold_uses_the_larger_of_mad_and_relative_floor() {
-        let t = Threshold::default();
         // MAD-dominated: 3×10 = 30 > 25% of 100.
-        assert_eq!(t.limit_ms(100.0, 10.0), 130.0);
+        assert_eq!(limit_ms(100.0, 10.0), 130.0);
         // Floor-dominated: MAD 0 (quiet host) still gets 25%.
-        assert_eq!(t.limit_ms(100.0, 0.0), 125.0);
+        assert_eq!(limit_ms(100.0, 0.0), 125.0);
     }
 
     #[test]
@@ -1549,13 +1351,17 @@ mod tests {
         // One repeat, no warmup, on the smallest scenario: checks the
         // wiring, not the numbers.
         let cfg = PerfConfig { warmup: 0, repeats: 1, shards: 1 };
-        let b = record(&["ci-small".to_string()], cfg).expect("scenario runs");
+        let b = Baseline::record(&["ci-small".to_string()], &cfg).expect("scenario runs");
         let s = b.scenarios.get("ci-small").expect("recorded");
         assert_eq!(s.samples_ms.len(), 1);
         assert_eq!(s.mad_ms, 0.0, "single sample has MAD 0");
         assert!(s.median_ms > 0.0 && s.min_ms == s.median_ms);
         assert!(b.env.cores >= 1);
-        let err = record(&["bogus".to_string()], cfg).expect_err("unknown scenario");
-        assert!(matches!(err, PerfError::UnknownScenario(_)));
+        let err = Baseline::record(&["bogus".to_string()], &cfg).expect_err("unknown scenario");
+        assert!(matches!(err, ObservatoryError::UnknownScenario { .. }));
+        // Zero repeats leave no sample: refused before anything runs.
+        let none = PerfConfig { repeats: 0, ..cfg };
+        let err = Baseline::record(&["ci-small".to_string()], &none).expect_err("zero repeats");
+        assert!(matches!(err, ObservatoryError::Config(_)), "{err}");
     }
 }

@@ -1,98 +1,53 @@
 //! Quality baselines: pinned competitive-ratio scenarios and an
-//! **exact** regression gate.
+//! **exact** regression gate — the `quality` kind of the
+//! [observatory](crate::observatory).
 //!
-//! The perf observatory ([`crate::perf`]) watches wall time, which is
-//! noisy, so its gate is statistical (MAD slack + a relative floor).
-//! Solution quality is different: every quality scenario pins its
-//! generator seeds and the engine's aggregates are byte-deterministic
-//! at any shard count, so two runs of the same code produce *identical*
-//! ratio statistics. That lets the quality gate be exact — **any**
-//! increase of a group's max ALG/OPT ratio or of its bound headroom
-//! (measured max ÷ the proven Table 1 bound) against the committed
-//! `BENCH_quality.json` is a regression, with no noise threshold to
-//! hide behind.
+//! The perf kind ([`crate::perf`]) watches wall time, which is noisy, so
+//! its gate is statistical (MAD slack + a relative floor). Solution
+//! quality is different: every quality scenario pins its generator seeds
+//! and the engine's aggregates are byte-deterministic at any shard
+//! count, so two runs of the same code produce *identical* ratio
+//! statistics. That lets the quality gate be exact — **any** increase of
+//! a group's max ALG/OPT ratio or of its bound headroom (measured max ÷
+//! the proven Table 1 bound) against the committed `BENCH_quality.json`
+//! is a regression, with no noise threshold to hide behind.
 //!
 //! `qbss quality record` evaluates the scenario table through
 //! [`run_sweep`] and serializes per-group `max / mean / p95` energy
 //! ratios, the proven bound, the headroom, and the reproducible worst
 //! cell (seed, instance) into a canonical `qbss-quality-baseline/1`
-//! document. `qbss quality compare` diffs two baselines; `qbss quality
-//! gate` records fresh numbers, diffs them against the committed
-//! baseline, and exits 3 on any worsened group — `--explain` names the
-//! offending scenario, seed, and instance.
+//! document; `gate --explain` names the offending scenario, seed, and
+//! instance.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use qbss_analysis::stats::percentile_sorted;
 use qbss_core::pipeline::Algorithm;
 use qbss_instances::gen::{Compressibility, GenConfig, QueryModel, TimeModel};
-use qbss_telemetry::{json_escape, json_f64, json_parse, JsonValue};
+use qbss_telemetry::{json_escape, json_f64, JsonValue};
 
-use crate::engine::{run_sweep, EngineError, InstanceSource, SweepSpec, WorstCell};
+use crate::engine::{run_sweep, InstanceSource, SweepSpec, WorstCell};
+use crate::observatory::{
+    json_rows, object, open_document, pick, BuildInfo, ExactFinding, ExactReport, Gate,
+    ObservatoryError, Scenario,
+};
 
 /// The on-disk schema tag; bump on incompatible baseline changes.
 pub const QUALITY_SCHEMA: &str = "qbss-quality-baseline/1";
 
 // ---------------------------------------------------------------------
-// Build fingerprint
-// ---------------------------------------------------------------------
-
-/// The build that produced an artifact: crate version plus a best-effort
-/// `git describe` string. Embedded in quality baselines, loadgen
-/// reports, and the serve plane's `/healthz` so a number on disk can be
-/// traced back to the code that computed it. Informational only — the
-/// gate never compares fingerprints.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuildInfo {
-    /// Workspace crate version (`CARGO_PKG_VERSION`).
-    pub version: String,
-    /// `git describe --always --dirty --tags` output, or `"unknown"`
-    /// outside a git checkout.
-    pub git: String,
-}
-
-impl BuildInfo {
-    /// Captures the current build's fingerprint.
-    pub fn capture() -> Self {
-        let git = std::process::Command::new("git")
-            .args(["describe", "--always", "--dirty", "--tags"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
-        Self { version: env!("CARGO_PKG_VERSION").to_string(), git }
-    }
-
-    /// One-line rendering, e.g. `qbss 0.1.0 (1fdad51)`.
-    pub fn render(&self) -> String {
-        format!("qbss {} ({})", self.version, self.git)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Scenarios
 // ---------------------------------------------------------------------
 
-/// A named, fully pinned quality workload: generator family × algorithm
-/// set × α grid × seed range. Everything is deterministic, so the
-/// recorded statistics are a pure function of the code under test.
-#[derive(Debug, Clone, Copy)]
-pub struct QualityScenario {
-    /// Stable name (the baseline JSON key and the `--scenarios` token).
-    pub name: &'static str,
-    /// One-line description for `qbss quality record` output.
-    pub description: &'static str,
-    build: fn() -> SweepSpec,
-}
+/// A quality scenario: generator family × algorithm set × α grid × seed
+/// range, as a pinned sweep spec, so the recorded statistics are a pure
+/// function of the code under test.
+pub type QualityScenario = Scenario<fn() -> SweepSpec>;
 
 impl QualityScenario {
     /// The pinned sweep spec this scenario evaluates.
     pub fn spec(&self) -> SweepSpec {
-        (self.build)()
+        (self.work)()
     }
 }
 
@@ -161,29 +116,24 @@ pub fn scenarios() -> Vec<QualityScenario> {
         QualityScenario {
             name: "golden-common",
             description: "crcd+avrq+bkpq × 2 α × 50 common-deadline instances (n=10)",
-            build: golden_common,
+            work: golden_common,
         },
         QualityScenario {
             name: "golden-online",
             description: "avrq+bkpq+oaq × 2 α × 40 online instances (n=24)",
-            build: golden_online,
+            work: golden_online,
         },
         QualityScenario {
             name: "heavytail-online",
             description: "avrq+bkpq × 2 α × 40 heavy-tail online instances (n=16)",
-            build: heavytail_online,
+            work: heavytail_online,
         },
         QualityScenario {
             name: "multi-machine",
             description: "avrq-m:3 + avrq-m-nonmig:3 × 16 online instances (n=12)",
-            build: multi_machine,
+            work: multi_machine,
         },
     ]
-}
-
-/// Looks up a quality scenario by name.
-pub fn scenario(name: &str) -> Option<QualityScenario> {
-    scenarios().into_iter().find(|s| s.name == name)
 }
 
 // ---------------------------------------------------------------------
@@ -234,105 +184,6 @@ pub struct QualityBaseline {
     pub scenarios: BTreeMap<String, ScenarioQuality>,
 }
 
-/// Failures of the quality layer.
-#[derive(Debug)]
-pub enum QualityError {
-    /// `--scenarios` named something that doesn't exist.
-    UnknownScenario(String),
-    /// A baseline file didn't match the schema.
-    Parse(String),
-    /// The engine rejected a scenario spec (a bug in the scenario
-    /// table).
-    Engine(EngineError),
-    /// A scenario produced cell errors; quality statistics over a
-    /// partially failed grid would silently shrink coverage.
-    Dirty {
-        /// The scenario whose grid did not evaluate cleanly.
-        scenario: String,
-        /// Number of failed cells.
-        errors: usize,
-    },
-}
-
-impl fmt::Display for QualityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QualityError::UnknownScenario(name) => {
-                let known: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
-                write!(f, "unknown scenario `{name}` (expected one of: {})", known.join(", "))
-            }
-            QualityError::Parse(reason) => write!(f, "invalid quality baseline: {reason}"),
-            QualityError::Engine(e) => write!(f, "scenario failed to run: {e}"),
-            QualityError::Dirty { scenario, errors } => {
-                write!(f, "scenario `{scenario}` had {errors} failed cell(s)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QualityError {}
-
-impl From<EngineError> for QualityError {
-    fn from(e: EngineError) -> Self {
-        QualityError::Engine(e)
-    }
-}
-
-/// Evaluates `names` (all scenarios when empty) through the engine and
-/// returns the recorded baseline. `shards = 0` uses all cores — the
-/// statistics are byte-identical either way.
-pub fn record(names: &[String], shards: usize) -> Result<QualityBaseline, QualityError> {
-    let picked: Vec<QualityScenario> = if names.is_empty() {
-        scenarios()
-    } else {
-        names
-            .iter()
-            .map(|n| scenario(n).ok_or_else(|| QualityError::UnknownScenario(n.clone())))
-            .collect::<Result<_, _>>()?
-    };
-    let mut out = BTreeMap::new();
-    for sc in picked {
-        let spec = sc.spec();
-        let report = run_sweep(&spec, shards)?;
-        let n_alphas = spec.alphas.len();
-        let mut groups = Vec::with_capacity(report.groups.len());
-        for (gi, g) in report.groups.iter().enumerate() {
-            if g.errors > 0 {
-                return Err(QualityError::Dirty {
-                    scenario: sc.name.to_string(),
-                    errors: g.errors,
-                });
-            }
-            let (alg_idx, alpha_idx) = (gi / n_alphas, gi % n_alphas);
-            // p95 is not part of the engine digest; derive it from the
-            // per-cell records the same canonical way the digest is.
-            let mut ratios: Vec<f64> = report
-                .records
-                .iter()
-                .filter(|r| r.algorithm == alg_idx && r.alpha == alpha_idx)
-                .filter_map(|r| r.result.as_ref().ok().map(|m| m.energy_ratio))
-                .collect();
-            ratios.sort_by(f64::total_cmp);
-            let digest = g.energy_ratio.as_ref().ok_or_else(|| QualityError::Dirty {
-                scenario: sc.name.to_string(),
-                errors: 0,
-            })?;
-            groups.push(GroupQuality {
-                algorithm: g.algorithm.clone(),
-                alpha: g.alpha,
-                max: digest.max,
-                mean: digest.mean,
-                p95: percentile_sorted(&ratios, 0.95),
-                bound: g.energy_bound,
-                headroom: g.energy_bound.map(|b| digest.max / b),
-                worst: g.worst_cell,
-            });
-        }
-        out.insert(sc.name.to_string(), ScenarioQuality { cells: spec.n_cells(), groups });
-    }
-    Ok(QualityBaseline { build: BuildInfo::capture(), scenarios: out })
-}
-
 // ---------------------------------------------------------------------
 // Serialization
 // ---------------------------------------------------------------------
@@ -353,30 +204,103 @@ fn json_worst(w: Option<WorstCell>) -> String {
     }
 }
 
-impl QualityBaseline {
-    /// Canonical, human-diffable JSON (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(QUALITY_SCHEMA)));
-        out.push_str(&format!(
-            "  \"build\": {{\"version\": \"{}\", \"git\": \"{}\"}},\n",
-            json_escape(&self.build.version),
-            json_escape(&self.build.git),
-        ));
+/// Reads one group object of a scenario's `groups` array.
+fn parse_group(name: &str, g: &JsonValue) -> Result<GroupQuality, String> {
+    let need_f64 = |key: &str| {
+        g.get(key)
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("scenario `{name}`: missing number `{key}`"))
+    };
+    let worst = match g.get("worst") {
+        None | Some(JsonValue::Null) => None,
+        Some(w) => Some(WorstCell {
+            instance: w
+                .get("instance")
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("scenario `{name}`: worst cell missing `instance`"))?
+                as usize,
+            seed: w.get("seed").and_then(JsonValue::as_u64),
+            energy_ratio: w.get("energy_ratio").and_then(JsonValue::as_f64).unwrap_or(f64::NAN),
+        }),
+    };
+    Ok(GroupQuality {
+        algorithm: g
+            .get("algorithm")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| format!("scenario `{name}`: group missing `algorithm`"))?
+            .to_string(),
+        alpha: need_f64("alpha")?,
+        max: need_f64("max")?,
+        mean: need_f64("mean")?,
+        p95: need_f64("p95")?,
+        bound: g.get("bound").and_then(JsonValue::as_f64),
+        headroom: g.get("headroom").and_then(JsonValue::as_f64),
+        worst,
+    })
+}
+
+impl Gate for QualityBaseline {
+    const KIND: &'static str = "quality";
+    const SCHEMA: &'static str = QUALITY_SCHEMA;
+    /// Engine shard count (0 = all cores).
+    type Config = usize;
+    type Report = QualityCompare;
+
+    /// Evaluates `names` (all scenarios when empty) through the engine and
+    /// returns the recorded baseline. `shards = 0` uses all cores — the
+    /// statistics are byte-identical either way.
+    fn record(names: &[String], shards: &usize) -> Result<Self, ObservatoryError> {
+        let mut out = BTreeMap::new();
+        for sc in pick(scenarios(), names)? {
+            let spec = sc.spec();
+            let report = run_sweep(&spec, *shards)?;
+            let n_alphas = spec.alphas.len();
+            let mut groups = Vec::with_capacity(report.groups.len());
+            for (gi, g) in report.groups.iter().enumerate() {
+                let dirty = |errors| ObservatoryError::Dirty { scenario: sc.name.to_string(), errors };
+                if g.errors > 0 {
+                    return Err(dirty(g.errors));
+                }
+                let (alg_idx, alpha_idx) = (gi / n_alphas, gi % n_alphas);
+                // p95 is not part of the engine digest; derive it from the
+                // per-cell records the same canonical way the digest is.
+                let mut ratios: Vec<f64> = report
+                    .records
+                    .iter()
+                    .filter(|r| r.algorithm == alg_idx && r.alpha == alpha_idx)
+                    .filter_map(|r| r.result.as_ref().ok().map(|m| m.energy_ratio))
+                    .collect();
+                ratios.sort_by(f64::total_cmp);
+                let digest = g.energy_ratio.as_ref().ok_or_else(|| dirty(0))?;
+                groups.push(GroupQuality {
+                    algorithm: g.algorithm.clone(),
+                    alpha: g.alpha,
+                    max: digest.max,
+                    mean: digest.mean,
+                    p95: percentile_sorted(&ratios, 0.95),
+                    bound: g.energy_bound,
+                    headroom: g.energy_bound.map(|b| digest.max / b),
+                    worst: g.worst_cell,
+                });
+            }
+            out.insert(sc.name.to_string(), ScenarioQuality { cells: spec.n_cells(), groups });
+        }
+        Ok(QualityBaseline { build: BuildInfo::capture(), scenarios: out })
+    }
+
+    fn scenario_names(&self) -> Vec<String> {
+        self.scenarios.keys().cloned().collect()
+    }
+
+    fn to_json(&self) -> String {
+        let mut out = open_document(QUALITY_SCHEMA, &self.build.to_json());
         out.push_str("  \"scenarios\": {\n");
-        let n = self.scenarios.len();
-        for (i, (name, s)) in self.scenarios.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\"cells\": {}, \"groups\": [\n",
-                json_escape(name),
-                s.cells
-            ));
-            let m = s.groups.len();
-            for (j, g) in s.groups.iter().enumerate() {
-                out.push_str(&format!(
+        out.push_str(&json_rows(self.scenarios.iter().map(|(name, s)| {
+            let groups = json_rows(s.groups.iter().map(|g| {
+                format!(
                     "      {{\"algorithm\": \"{}\", \"alpha\": {}, \"max\": {}, \
                      \"mean\": {}, \"p95\": {}, \"bound\": {}, \"headroom\": {}, \
-                     \"worst\": {}}}{}\n",
+                     \"worst\": {}}}",
                     json_escape(&g.algorithm),
                     json_f64(g.alpha),
                     json_f64(g.max),
@@ -385,102 +309,33 @@ impl QualityBaseline {
                     json_opt(g.bound),
                     json_opt(g.headroom),
                     json_worst(g.worst),
-                    if j + 1 < m { "," } else { "" },
-                ));
-            }
-            out.push_str(&format!("    ]}}{}\n", if i + 1 < n { "," } else { "" }));
-        }
+                )
+            }));
+            format!(
+                "    \"{}\": {{\"cells\": {}, \"groups\": [\n{groups}    ]}}",
+                json_escape(name),
+                s.cells
+            )
+        })));
         out.push_str("  }\n}\n");
         out
     }
 
-    /// Parses a baseline produced by [`QualityBaseline::to_json`].
-    pub fn parse(input: &str) -> Result<QualityBaseline, QualityError> {
-        let bad = |reason: &str| QualityError::Parse(reason.to_string());
-        let v = json_parse(input).map_err(|e| QualityError::Parse(e.to_string()))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-        if schema != QUALITY_SCHEMA {
-            return Err(QualityError::Parse(format!(
-                "schema `{schema}` (expected `{QUALITY_SCHEMA}`)"
-            )));
-        }
-        let build = match v.get("build") {
-            Some(b) => BuildInfo {
-                version: b
-                    .get("version")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                git: b.get("git").and_then(JsonValue::as_str).unwrap_or("unknown").to_string(),
-            },
-            None => BuildInfo { version: "unknown".into(), git: "unknown".into() },
-        };
-        let JsonValue::Obj(entries) = v.get("scenarios").ok_or_else(|| bad("missing `scenarios`"))?
-        else {
-            return Err(bad("`scenarios` must be an object"));
-        };
-        let mut out = BTreeMap::new();
-        for (name, s) in entries {
-            let JsonValue::Arr(raw_groups) = s
-                .get("groups")
-                .ok_or_else(|| QualityError::Parse(format!("scenario `{name}`: missing `groups`")))?
-            else {
-                return Err(QualityError::Parse(format!(
-                    "scenario `{name}`: `groups` must be an array"
-                )));
+    fn from_json(doc: &JsonValue) -> Result<Self, String> {
+        let mut scenarios = BTreeMap::new();
+        for (name, s) in object(doc, "scenarios")? {
+            let Some(JsonValue::Arr(raw_groups)) = s.get("groups") else {
+                return Err(format!("scenario `{name}`: `groups` must be an array"));
             };
-            let mut groups = Vec::with_capacity(raw_groups.len());
-            for g in raw_groups {
-                let need_f64 = |key: &str| -> Result<f64, QualityError> {
-                    g.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-                        QualityError::Parse(format!("scenario `{name}`: missing number `{key}`"))
-                    })
-                };
-                let worst = match g.get("worst") {
-                    None | Some(JsonValue::Null) => None,
-                    Some(w) => Some(WorstCell {
-                        instance: w.get("instance").and_then(JsonValue::as_u64).ok_or_else(
-                            || {
-                                QualityError::Parse(format!(
-                                    "scenario `{name}`: worst cell missing `instance`"
-                                ))
-                            },
-                        )? as usize,
-                        seed: w.get("seed").and_then(JsonValue::as_u64),
-                        energy_ratio: w
-                            .get("energy_ratio")
-                            .and_then(JsonValue::as_f64)
-                            .unwrap_or(f64::NAN),
-                    }),
-                };
-                groups.push(GroupQuality {
-                    algorithm: g
-                        .get("algorithm")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| {
-                            QualityError::Parse(format!(
-                                "scenario `{name}`: group missing `algorithm`"
-                            ))
-                        })?
-                        .to_string(),
-                    alpha: need_f64("alpha")?,
-                    max: need_f64("max")?,
-                    mean: need_f64("mean")?,
-                    p95: need_f64("p95")?,
-                    bound: g.get("bound").and_then(JsonValue::as_f64),
-                    headroom: g.get("headroom").and_then(JsonValue::as_f64),
-                    worst,
-                });
-            }
-            out.insert(
-                name.clone(),
-                ScenarioQuality {
-                    cells: s.get("cells").and_then(JsonValue::as_u64).unwrap_or(0) as usize,
-                    groups,
-                },
-            );
+            let groups = raw_groups.iter().map(|g| parse_group(name, g)).collect::<Result<_, _>>()?;
+            let cells = s.get("cells").and_then(JsonValue::as_u64).unwrap_or(0) as usize;
+            scenarios.insert(name.clone(), ScenarioQuality { cells, groups });
         }
-        Ok(QualityBaseline { build, scenarios: out })
+        Ok(QualityBaseline { build: BuildInfo::from_json(doc), scenarios })
+    }
+
+    fn compare(base: &Self, new: &Self) -> QualityCompare {
+        compare(base, new)
     }
 }
 
@@ -511,81 +366,54 @@ pub struct QualityRegression {
     pub worst: Option<WorstCell>,
 }
 
-/// Everything `qbss quality compare` / `gate` reports.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QualityCompare {
-    /// Groups checked (both sides present).
-    pub checked: usize,
-    /// Exact regressions, in scenario/group order.
-    pub regressions: Vec<QualityRegression>,
-}
+/// Everything `qbss quality compare` / `gate` reports: groups checked
+/// (both sides present) and the exact regressions, in scenario/group
+/// order.
+pub type QualityCompare = ExactReport<QualityRegression>;
 
-impl QualityCompare {
-    /// `true` when no group worsened.
-    pub fn is_clean(&self) -> bool {
-        self.regressions.is_empty()
+impl ExactFinding for QualityRegression {
+    const KIND: &'static str = "quality";
+    const CHECKED: &'static str = "group(s)";
+
+    fn line(&self) -> String {
+        let group = match self.alpha {
+            Some(a) => format!("{} @ α={a}", self.algorithm),
+            None => "-".to_string(),
+        };
+        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.6}"));
+        format!(
+            "{}  {}  {}  {} -> {}  WORSE\n",
+            self.scenario,
+            group,
+            self.what,
+            fmt(self.base),
+            fmt(self.new)
+        )
     }
 
-    /// Human-readable summary: one line per regression plus a verdict.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regressions {
-            let group = match r.alpha {
-                Some(a) => format!("{} @ α={a}", r.algorithm),
-                None => "-".to_string(),
-            };
-            let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.6}"));
+    /// The regression with the reproducible worst cell (scenario, seed,
+    /// instance), so the offending run can be regenerated and explained
+    /// offline.
+    fn explain(&self) -> String {
+        let group = match self.alpha {
+            Some(a) => format!("{} @ α={a}", self.algorithm),
+            None => "(scenario)".to_string(),
+        };
+        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.9}"));
+        let mut out = format!(
+            "scenario `{}` {}: {} worsened {} -> {}\n",
+            self.scenario,
+            group,
+            self.what,
+            fmt(self.base),
+            fmt(self.new)
+        );
+        if let Some(w) = self.worst {
+            let seed = w.seed.map_or("-".to_string(), |s| s.to_string());
             out.push_str(&format!(
-                "{}  {}  {}  {} -> {}  WORSE\n",
-                r.scenario,
-                group,
-                r.what,
-                fmt(r.base),
-                fmt(r.new)
+                "  worst cell: seed {seed}, instance {}, ratio {:.9}\n",
+                w.instance, w.energy_ratio
             ));
-        }
-        if self.is_clean() {
-            out.push_str(&format!("no quality regression ({} group(s) checked)\n", self.checked));
-        } else {
-            out.push_str(&format!("{} quality regression(s)\n", self.regressions.len()));
-        }
-        out
-    }
-
-    /// Diagnostic rendering: every regression with the reproducible
-    /// worst cell (scenario, seed, instance) so the offending run can
-    /// be regenerated and explained offline.
-    pub fn render_explain(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regressions {
-            let group = match r.alpha {
-                Some(a) => format!("{} @ α={a}", r.algorithm),
-                None => "(scenario)".to_string(),
-            };
-            let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.9}"));
-            out.push_str(&format!(
-                "scenario `{}` {}: {} worsened {} -> {}\n",
-                r.scenario,
-                group,
-                r.what,
-                fmt(r.base),
-                fmt(r.new)
-            ));
-            if let Some(w) = r.worst {
-                let seed = w.seed.map_or("-".to_string(), |s| s.to_string());
-                out.push_str(&format!(
-                    "  worst cell: seed {seed}, instance {}, ratio {:.9}\n",
-                    w.instance, w.energy_ratio
-                ));
-            }
-        }
-        if self.is_clean() {
-            out.push_str(&format!(
-                "no quality regression ({} group(s) checked, exact comparison)\n",
-                self.checked
-            ));
-        } else {
-            out.push_str(&format!("{} quality regression(s)\n", self.regressions.len()));
         }
         out
     }
@@ -618,55 +446,33 @@ pub fn compare(base: &QualityBaseline, new: &QualityBaseline) -> QualityCompare 
                 .groups
                 .iter()
                 .find(|g| g.algorithm == bg.algorithm && g.alpha.to_bits() == bg.alpha.to_bits());
-            let Some(ng) = found else {
-                report.regressions.push(QualityRegression {
-                    scenario: name.clone(),
-                    algorithm: bg.algorithm.clone(),
-                    alpha: Some(bg.alpha),
-                    what: "group removed",
-                    base: Some(bg.max),
-                    new: None,
-                    worst: None,
-                });
-                continue;
-            };
-            report.checked += 1;
-            if ng.max > bg.max {
-                report.regressions.push(QualityRegression {
-                    scenario: name.clone(),
-                    algorithm: bg.algorithm.clone(),
-                    alpha: Some(bg.alpha),
-                    what: "max ratio",
-                    base: Some(bg.max),
-                    new: Some(ng.max),
-                    worst: ng.worst,
-                });
-            }
-            match (bg.headroom, ng.headroom) {
-                (Some(bh), Some(nh)) if nh > bh => {
-                    report.regressions.push(QualityRegression {
-                        scenario: name.clone(),
-                        algorithm: bg.algorithm.clone(),
-                        alpha: Some(bg.alpha),
-                        what: "bound headroom",
-                        base: Some(bh),
-                        new: Some(nh),
-                        worst: ng.worst,
-                    });
+            // Every worsened quantity of this group: (what, base, new).
+            let mut worse = Vec::new();
+            match found {
+                None => worse.push(("group removed", Some(bg.max), None)),
+                Some(ng) => {
+                    report.checked += 1;
+                    if ng.max > bg.max {
+                        worse.push(("max ratio", Some(bg.max), Some(ng.max)));
+                    }
+                    match (bg.headroom, ng.headroom) {
+                        (Some(bh), Some(nh)) if nh > bh => {
+                            worse.push(("bound headroom", Some(bh), Some(nh)));
+                        }
+                        (Some(bh), None) => worse.push(("bound removed", Some(bh), None)),
+                        _ => {}
+                    }
                 }
-                (Some(bh), None) => {
-                    report.regressions.push(QualityRegression {
-                        scenario: name.clone(),
-                        algorithm: bg.algorithm.clone(),
-                        alpha: Some(bg.alpha),
-                        what: "bound removed",
-                        base: Some(bh),
-                        new: None,
-                        worst: ng.worst,
-                    });
-                }
-                _ => {}
             }
+            report.regressions.extend(worse.into_iter().map(|(what, b, n)| QualityRegression {
+                scenario: name.clone(),
+                algorithm: bg.algorithm.clone(),
+                alpha: Some(bg.alpha),
+                what,
+                base: b,
+                new: n,
+                worst: found.and_then(|g| g.worst),
+            }));
         }
     }
     report
@@ -675,6 +481,11 @@ pub fn compare(base: &QualityBaseline, new: &QualityBaseline) -> QualityCompare 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observatory::GateReport;
+
+    fn scenario(name: &str) -> Option<QualityScenario> {
+        pick(scenarios(), &[name.to_string()]).ok().map(|mut v| v.remove(0))
+    }
 
     fn group(algorithm: &str, alpha: f64, max: f64, bound: Option<f64>) -> GroupQuality {
         GroupQuality {
@@ -731,8 +542,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_foreign_or_broken_documents() {
-        assert!(matches!(QualityBaseline::parse("{}"), Err(QualityError::Parse(_))));
-        assert!(matches!(QualityBaseline::parse("not json"), Err(QualityError::Parse(_))));
+        assert!(matches!(QualityBaseline::parse("{}"), Err(ObservatoryError::Parse { .. })));
+        assert!(matches!(QualityBaseline::parse("not json"), Err(ObservatoryError::Parse { .. })));
         let wrong = "{\"schema\": \"qbss-quality-baseline/999\", \"scenarios\": {}}";
         let err = QualityBaseline::parse(wrong).expect_err("wrong schema");
         assert!(err.to_string().contains("schema"), "{err}");
@@ -802,8 +613,8 @@ mod tests {
         // group must sit inside its Table 1 bound (headroom ≤ 1), and
         // every group must carry a reproducible worst cell.
         let names = vec!["multi-machine".to_string()];
-        let a = record(&names, 1).expect("record");
-        let b = record(&names, 2).expect("record");
+        let a = QualityBaseline::record(&names, &1).expect("record");
+        let b = QualityBaseline::record(&names, &2).expect("record");
         assert_eq!(a.scenarios, b.scenarios, "shard count must not matter");
         let s = a.scenarios.get("multi-machine").expect("recorded");
         assert!(!s.groups.is_empty());
@@ -816,8 +627,8 @@ mod tests {
             assert_eq!(w.energy_ratio, g.max, "worst cell must carry the max");
             assert!(w.seed.is_some(), "generated sources pin seeds");
         }
-        let err = record(&["bogus".to_string()], 1).expect_err("unknown scenario");
-        assert!(matches!(err, QualityError::UnknownScenario(_)));
+        let err = QualityBaseline::record(&["bogus".to_string()], &1).expect_err("unknown scenario");
+        assert!(matches!(err, ObservatoryError::UnknownScenario { .. }));
     }
 
     #[test]

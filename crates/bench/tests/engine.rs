@@ -99,7 +99,7 @@ fn memoized_profiles_are_bit_equal_to_cold_runs() {
 fn golden_aggregate_matches() {
     let json = run_sweep(&golden_spec(), 2).expect("valid spec").aggregate_json();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sweep_smoke.json");
-    if std::env::var_os("QBSS_BLESS").is_some() {
+    if qbss_bench::observatory::bless_requested() {
         std::fs::write(path, &json).expect("write golden");
         eprintln!("blessed {path}");
         return;

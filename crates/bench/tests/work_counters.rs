@@ -1,7 +1,7 @@
 //! The determinism contract of the work-counter observatory: op counts
 //! are a pure function of the code under test. Same workload → same
 //! counts, whatever the shard layout, log level, or batch/streaming
-//! entry point. The CI `complexity-gate` job proves the byte-level
+//! entry point. The CI `observatory` job proves the byte-level
 //! version of the same contract across two *cold* processes with
 //! `cmp`; these tests pin the in-process invariants the gate's
 //! exactness rests on.
@@ -10,13 +10,12 @@
 //! serialize on one lock and compare snapshot *deltas*, never absolute
 //! counts.
 
-use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use qbss_bench::complexity;
+use qbss_bench::complexity::ComplexityBaseline;
+use qbss_bench::observatory::{work_delta, Gate};
 use qbss_bench::engine::{run_sweep, InstanceSource, SweepSpec};
 use qbss_core::pipeline::Algorithm;
-use qbss_core::work::is_work_counter;
 use qbss_instances::gen::{generate, GenConfig};
 use qbss_telemetry::{Filter, RingSink, SinkTarget};
 use speed_scaling::job::{Instance, Job};
@@ -28,22 +27,6 @@ use speed_scaling::stream::{release_ordered, OaStream};
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f` and returns the positive work-counter deltas it caused.
-fn work_delta<F: FnOnce()>(f: F) -> BTreeMap<String, u64> {
-    let before = qbss_telemetry::metrics().counter_values();
-    f();
-    qbss_telemetry::metrics()
-        .counter_values()
-        .into_iter()
-        .filter(|(name, _)| is_work_counter(name))
-        .map(|(name, v)| {
-            let b = before.get(&name).copied().unwrap_or(0);
-            (name, v - b)
-        })
-        .filter(|&(_, d)| d > 0)
-        .collect()
 }
 
 /// The classical view of the pinned online family — the same mapping
@@ -62,8 +45,8 @@ fn online_instance(n: usize, seed: u64) -> Instance {
 fn complexity_record_is_byte_identical_across_runs() {
     let _guard = lock();
     let names = vec!["avr-stream".to_string(), "oa-stream".to_string()];
-    let first = complexity::record(&names).expect("first record");
-    let second = complexity::record(&names).expect("second record");
+    let first = ComplexityBaseline::record(&names, &()).expect("first record");
+    let second = ComplexityBaseline::record(&names, &()).expect("second record");
     // Counters are cumulative process globals, but the record brackets
     // every cell with snapshots and stores deltas — so a re-record in
     // the same (now warm) process must still serialize byte-for-byte.
@@ -82,13 +65,13 @@ fn sweep_counter_totals_are_shard_independent() {
         alphas: vec![3.0],
         opt_fw_iters: 0,
     };
-    let one = work_delta(|| {
+    let (_, one) = work_delta(|| {
         run_sweep(&spec(), 1).expect("sweep shards=1");
     });
-    let two = work_delta(|| {
+    let (_, two) = work_delta(|| {
         run_sweep(&spec(), 2).expect("sweep shards=2");
     });
-    let four = work_delta(|| {
+    let (_, four) = work_delta(|| {
         run_sweep(&spec(), 4).expect("sweep shards=4");
     });
     assert!(!one.is_empty(), "the sweep must move work counters");
@@ -122,7 +105,7 @@ fn log_level_does_not_change_op_counts() {
     };
     // Telemetry disabled (the default test state) …
     qbss_telemetry::shutdown();
-    let silent = work_delta(workload);
+    let (_, silent) = work_delta(workload);
     // … versus a verbose `QBSS_LOG=debug`-equivalent pipeline with
     // spans on: counters count algorithmic progress, not log traffic.
     let ring = RingSink::default();
@@ -132,7 +115,7 @@ fn log_level_does_not_change_op_counts() {
         spans: true,
     })
     .expect("fresh init");
-    let verbose = work_delta(workload);
+    let (_, verbose) = work_delta(workload);
     qbss_telemetry::shutdown();
     assert!(!silent.is_empty(), "the workload must move work counters");
     assert_eq!(silent, verbose, "log level must not change op counts");
@@ -142,10 +125,10 @@ fn log_level_does_not_change_op_counts() {
 fn streaming_and_batch_oa_do_identical_hull_work() {
     let _guard = lock();
     let inst = online_instance(300, 0);
-    let batch = work_delta(|| {
+    let (_, batch) = work_delta(|| {
         let _ = oa_profile(&inst);
     });
-    let streamed = work_delta(|| {
+    let (_, streamed) = work_delta(|| {
         let mut s = OaStream::new();
         for job in release_ordered(&inst) {
             s.on_arrival(job);

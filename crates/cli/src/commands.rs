@@ -8,7 +8,7 @@
 //! | 0    | success                                              |
 //! | 1    | the algorithm pipeline failed ([`CliError::Algorithm`]) |
 //! | 2    | bad input: flags, instance data ([`CliError::Input`]) |
-//! | 3    | file-system failure ([`CliError::Io`]) or a perf-gate regression ([`CliError::Gate`]) |
+//! | 3    | file-system failure ([`CliError::Io`]) or a gate regression ([`CliError::Gate`]) |
 //!
 //! Flags are uniform across subcommands — `--alg`, `--alpha`, `--m`,
 //! `--seed`, `--format table|json|csv` — parsed by the typed [`Flags`]
@@ -21,10 +21,11 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use qbss_bench::engine::{run_sweep_audited, EngineReport, InstanceSource, SweepSpec};
-use qbss_bench::perf::{self, Baseline, PerfConfig, Threshold};
-use qbss_bench::complexity::{self, ComplexityBaseline};
-use qbss_bench::quality::{self, QualityBaseline};
-use qbss_bench::{BuildInfo, StreamSession};
+use qbss_bench::complexity::ComplexityBaseline;
+use qbss_bench::observatory::{bless_requested, BuildInfo, Gate, GateReport};
+use qbss_bench::perf::{self, Baseline, PerfConfig};
+use qbss_bench::quality::QualityBaseline;
+use qbss_bench::StreamSession;
 use qbss_telemetry::profile::Profile;
 use qbss_telemetry::{Config, Filter, InitError, JsonValue, RingSink, SinkTarget};
 use qbss_core::error::{AlgorithmError, QbssError};
@@ -76,8 +77,9 @@ USAGE:
                   (trace FILE may be `-` to read stdin)
   qbss perf     record  [--out FILE] [--scenarios LIST] [--repeats N]
                         [--warmup N] [--shards S] [--profile] [--trace FILE]
-  qbss perf     compare BASE NEW [--mad-factor X] [--min-rel X]
-  qbss perf     gate    --base FILE [--new FILE] [--mad-factor X] [--min-rel X] [--explain]
+  qbss perf     compare BASE NEW
+  qbss perf     gate    --base FILE [--new FILE] [--repeats N] [--warmup N] [--shards S]
+                        [--explain]
   qbss quality  record  [--out FILE] [--scenarios LIST] [--shards S] [--trace FILE]
   qbss quality  compare BASE NEW
   qbss quality  gate    --base FILE [--new FILE] [--shards S] [--explain]
@@ -1221,280 +1223,219 @@ pub fn trace(args: &[String]) -> Result<(), CliError> {
 }
 
 // ---------------------------------------------------------------------
-// `qbss perf` — statistical baselines and the regression gate
+// `qbss perf|quality|complexity` — the observatory's three gates
 // ---------------------------------------------------------------------
 
-const PERF_USAGE: &str = "usage: qbss perf record  [--out FILE] [--scenarios LIST] [--repeats N]\n                         \
-                          [--warmup N] [--shards S] [--profile] [--trace FILE]\n       \
-                          qbss perf compare BASE NEW [--mad-factor X] [--min-rel X]\n       \
-                          qbss perf gate    --base FILE [--new FILE] [--mad-factor X] [--min-rel X]\n                         \
-                          [--explain]";
+/// The CLI half of one observatory kind: its vocabulary, and the few
+/// steps that really differ between kinds. Output writing, re-measuring
+/// when `--new` is absent, `--explain`, exit 3 and the bless path are
+/// one generic driver ([`observatory_cmd`]).
+trait GateCmd: Gate {
+    /// The kind's usage text.
+    const USAGE: &'static str;
+    /// The `record` vocabulary (`profile` reads as a bare switch).
+    const RECORD_FLAGS: &'static [&'static str];
+    /// The `gate` vocabulary (`explain` reads as a bare switch).
+    const GATE_FLAGS: &'static [&'static str];
+    /// Span names of `record` and `gate`.
+    const SPANS: [&'static str; 2];
 
-/// Loads and parses a perf baseline: a missing file is an I/O failure,
-/// a schema violation is bad input.
-fn load_baseline(path: &str) -> Result<Baseline, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    Baseline::parse(&text).map_err(|e| input(format!("{path}: {e}")))
+    /// The record configuration; `base` is the gated baseline when
+    /// `gate` re-measures it (its recording config is the default).
+    fn config(flags: &Flags, base: Option<&Self>) -> Result<Self::Config, CliError>;
+
+    /// Records `names`; `base` as in [`GateCmd::config`].
+    fn measure(
+        _flags: &Flags,
+        names: &[String],
+        config: &Self::Config,
+        _base: Option<&Self>,
+    ) -> Result<Self, CliError> {
+        Self::record(names, config).map_err(|e| input(e.to_string()))
+    }
+
+    /// The `record` output body.
+    fn encode(&self, _flags: &Flags) -> Result<String, CliError> {
+        Ok(self.to_json())
+    }
 }
 
-/// `--mad-factor` / `--min-rel` with the library defaults (3×MAD,
-/// 25% floor); both must be finite and non-negative.
-fn threshold_from(flags: &Flags) -> Result<Threshold, CliError> {
-    let d = Threshold::default();
-    let t = Threshold {
-        mad_factor: flags.f64("mad-factor", d.mad_factor)?,
-        min_rel: flags.f64("min-rel", d.min_rel)?,
-    };
-    for (name, v) in [("mad-factor", t.mad_factor), ("min-rel", t.min_rel)] {
-        if !v.is_finite() || v < 0.0 {
-            return Err(input(format!("--{name} must be finite and non-negative")));
+impl GateCmd for Baseline {
+    const USAGE: &'static str = "usage: qbss perf record  [--out FILE] [--scenarios LIST] [--repeats N]\n                         \
+                                 [--warmup N] [--shards S] [--profile] [--trace FILE]\n       \
+                                 qbss perf compare BASE NEW\n       \
+                                 qbss perf gate    --base FILE [--new FILE] [--repeats N] [--warmup N]\n                         \
+                                 [--shards S] [--explain]";
+    const RECORD_FLAGS: &'static [&'static str] =
+        &["out", "scenarios", "repeats", "warmup", "shards", "trace", "profile"];
+    const GATE_FLAGS: &'static [&'static str] =
+        &["base", "new", "repeats", "warmup", "shards", "explain"];
+    const SPANS: [&'static str; 2] = ["cli.perf.record", "cli.perf.gate"];
+
+    fn config(flags: &Flags, base: Option<&Self>) -> Result<PerfConfig, CliError> {
+        let d = base.map_or_else(PerfConfig::default, |b| PerfConfig {
+            repeats: b.config.repeats.max(1),
+            ..b.config
+        });
+        Ok(PerfConfig {
+            warmup: flags.usize("warmup", d.warmup)?,
+            repeats: flags.usize("repeats", d.repeats)?,
+            shards: flags.usize("shards", d.shards)?,
+        })
+    }
+
+    /// `record --profile`, and the re-measure of a profiled base (so
+    /// `--explain` can blame the call paths that moved), fold span
+    /// profiles from a private ring.
+    fn measure(
+        flags: &Flags,
+        names: &[String],
+        config: &PerfConfig,
+        base: Option<&Self>,
+    ) -> Result<Self, CliError> {
+        let plain = || Self::record(names, config).map_err(|e| input(e.to_string()));
+        let profile = match base {
+            Some(b) => !b.profiles.is_empty(),
+            None => flags.switch("profile")?,
+        };
+        if !profile {
+            return plain();
         }
-    }
-    Ok(t)
-}
-
-fn perf_record(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse_with_switches(
-        args,
-        &["out", "scenarios", "repeats", "warmup", "shards", "trace", "profile"],
-        &["profile"],
-    )?;
-    let names: Vec<String> = flags.get("scenarios").map_or_else(Vec::new, |s| {
-        s.split(',').map(str::trim).filter(|t| !t.is_empty()).map(String::from).collect()
-    });
-    let d = PerfConfig::default();
-    let config = PerfConfig {
-        warmup: flags.usize("warmup", d.warmup)?,
-        repeats: flags.usize("repeats", d.repeats)?,
-        shards: flags.usize("shards", d.shards)?,
-    };
-    if config.repeats == 0 {
-        return Err(input("--repeats must be at least 1"));
-    }
-    let baseline = if flags.switch("profile")? {
-        if flags.get("trace").is_some() {
+        if base.is_none() && flags.get("trace").is_some() {
             return Err(input(
                 "--profile and --trace are mutually exclusive (the profiler owns the span \
                  sink; fold an existing trace with `qbss prof record --trace FILE`)",
             ));
         }
-        if std::env::var("QBSS_LOG").is_ok() {
+        if base.is_none() && std::env::var("QBSS_LOG").is_ok() {
             warn_user("QBSS_LOG is ignored under --profile: spans go to the profile ring");
         }
-        let (baseline, dropped) = {
-            let (ring, _telemetry) = init_profile_ring()?;
-            let b = perf::record_profiled(&names, config, Some(&ring))
-                .map_err(|e| input(e.to_string()))?;
-            (b, ring.dropped())
-        };
-        if dropped > 0 {
-            warn_user(&format!(
-                "profile ring dropped {dropped} span record(s); the folded profiles are \
-                 truncated"
-            ));
+        if base.is_some() && qbss_telemetry::active() {
+            // An in-process caller holds the pipeline; the ring can't be installed.
+            warn_user("telemetry already active: re-measuring without profile attribution");
+            return plain();
         }
-        baseline
-    } else {
-        let _telemetry = init_telemetry(&flags)?;
-        let _span = qbss_telemetry::span!("cli.perf.record");
-        perf::record(&names, config).map_err(|e| input(e.to_string()))?
+        record_with_profiles(names, *config)
+    }
+}
+
+/// [`perf::record_profiled`] into a private profile ring; warns when the
+/// ring overflowed and the folded profiles are truncated.
+fn record_with_profiles(names: &[String], config: PerfConfig) -> Result<Baseline, CliError> {
+    let (baseline, dropped) = {
+        let (ring, _telemetry) = init_profile_ring()?;
+        let b = perf::record_profiled(names, config, Some(&ring))
+            .map_err(|e| input(e.to_string()))?;
+        (b, ring.dropped())
     };
-    let json = baseline.to_json();
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &json)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-            status_user(&format!(
-                "wrote perf baseline ({} scenario(s), {} repeat(s) each) to {path}",
-                baseline.scenarios.len(),
-                config.repeats
-            ));
+    if dropped > 0 {
+        warn_user(&format!(
+            "profile ring dropped {dropped} span record(s); the folded profiles are truncated"
+        ));
+    }
+    Ok(baseline)
+}
+
+impl GateCmd for QualityBaseline {
+    const USAGE: &'static str = "usage: qbss quality record  [--out FILE] [--scenarios LIST] [--shards S] [--trace FILE]\n       \
+                                 qbss quality compare BASE NEW\n       \
+                                 qbss quality gate    --base FILE [--new FILE] [--shards S] [--explain] [--trace FILE]";
+    const RECORD_FLAGS: &'static [&'static str] = &["out", "scenarios", "shards", "trace"];
+    const GATE_FLAGS: &'static [&'static str] = &["base", "new", "shards", "explain", "trace"];
+    const SPANS: [&'static str; 2] = ["cli.quality.record", "cli.quality.gate"];
+
+    fn config(flags: &Flags, _base: Option<&Self>) -> Result<usize, CliError> {
+        flags.usize("shards", 0)
+    }
+}
+
+impl GateCmd for ComplexityBaseline {
+    const USAGE: &'static str = "usage: qbss complexity record  [--out FILE] [--scenarios LIST] [--format json|csv] [--trace FILE]\n       \
+                                 qbss complexity compare BASE NEW\n       \
+                                 qbss complexity gate    --base FILE [--new FILE] [--explain] [--trace FILE]";
+    const RECORD_FLAGS: &'static [&'static str] = &["out", "scenarios", "format", "trace"];
+    const GATE_FLAGS: &'static [&'static str] = &["base", "new", "explain", "trace"];
+    const SPANS: [&'static str; 2] = ["cli.complexity.record", "cli.complexity.gate"];
+
+    fn config(_flags: &Flags, _base: Option<&Self>) -> Result<(), CliError> {
+        Ok(())
+    }
+
+    /// `--format csv` writes the `(scenario, n, counter, count)` grid.
+    fn encode(&self, flags: &Flags) -> Result<String, CliError> {
+        match flags.get("format").unwrap_or("json") {
+            "json" => Ok(self.to_json()),
+            "csv" => Ok(self.to_csv()),
+            other => Err(input(format!("unknown format `{other}` (expected json|csv)"))),
         }
-        None => print!("{json}"),
-    }
-    Ok(())
-}
-
-fn perf_compare(args: &[String]) -> Result<(), CliError> {
-    let Some((base_path, rest)) = args.split_first() else {
-        return Err(input(format!("perf compare needs BASE and NEW files\n{PERF_USAGE}")));
-    };
-    let Some((new_path, flag_args)) = rest.split_first() else {
-        return Err(input(format!("perf compare needs a NEW file\n{PERF_USAGE}")));
-    };
-    let flags = Flags::parse(flag_args, &["mad-factor", "min-rel"])?;
-    let threshold = threshold_from(&flags)?;
-    let base = load_baseline(base_path)?;
-    let new = load_baseline(new_path)?;
-    print!("{}", perf::compare(&base, &new, threshold).render());
-    Ok(())
-}
-
-fn perf_gate(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse_with_switches(
-        args,
-        &["base", "new", "mad-factor", "min-rel", "repeats", "warmup", "shards", "explain"],
-        &["explain"],
-    )?;
-    let base_path = flags.get("base").ok_or_else(|| input("--base FILE is required"))?;
-    let threshold = threshold_from(&flags)?;
-    let base = load_baseline(base_path)?;
-    let new = match flags.get("new") {
-        Some(path) => load_baseline(path)?,
-        // No --new: re-measure the baseline's own scenarios live, with
-        // its recording config (each knob individually overridable).
-        None => {
-            let names: Vec<String> = base.scenarios.keys().cloned().collect();
-            let config = PerfConfig {
-                warmup: flags.usize("warmup", base.config.warmup)?,
-                repeats: flags.usize("repeats", base.config.repeats.max(1))?,
-                shards: flags.usize("shards", base.config.shards)?,
-            };
-            if base.profiles.is_empty() {
-                perf::record(&names, config).map_err(|e| input(e.to_string()))?
-            } else {
-                // A profiled base gets a profiled re-measure, so
-                // `--explain` can attribute any regression to the call
-                // paths that moved.
-                match init_profile_ring() {
-                    Ok((ring, _telemetry)) => {
-                        perf::record_profiled(&names, config, Some(&ring))
-                            .map_err(|e| input(e.to_string()))?
-                    }
-                    Err(CliError::Input(_)) => {
-                        warn_user(
-                            "telemetry already active: re-measuring without profile attribution",
-                        );
-                        perf::record(&names, config).map_err(|e| input(e.to_string()))?
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    };
-    let report = perf::compare(&base, &new, threshold);
-    // `--explain` swaps the one-line-per-scenario view for the full
-    // diagnostic table (base median/MAD, new median, limit, delta), so
-    // a CI failure is readable from the log without a local rerun.
-    if flags.switch("explain")? {
-        print!("{}", report.render_explain(threshold));
-    } else {
-        print!("{}", report.render());
-    }
-    if report.regressions().is_empty() {
-        return Ok(());
-    }
-    // An intentional slowdown (algorithmic change, heavier scenario) is
-    // accepted by re-recording the baseline, not by editing thresholds.
-    if std::env::var("QBSS_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(base_path, new.to_json())
-            .map_err(|e| CliError::Io(format!("cannot write {base_path}: {e}")))?;
-        status_user(&format!("QBSS_BLESS=1: re-blessed {base_path} with the new measurements"));
-        return Ok(());
-    }
-    Err(CliError::Gate(format!(
-        "{} scenario(s) regressed against {base_path} (rerun with QBSS_BLESS=1 to re-bless)",
-        report.regressions().len()
-    )))
-}
-
-/// `qbss perf` — record statistical baselines, diff them, gate CI.
-pub fn perf(args: &[String]) -> Result<(), CliError> {
-    let Some((action, rest)) = args.split_first() else {
-        return Err(input(PERF_USAGE));
-    };
-    match action.as_str() {
-        "record" => perf_record(rest),
-        "compare" => perf_compare(rest),
-        "gate" => perf_gate(rest),
-        other => Err(input(format!("unknown perf action `{other}`\n{PERF_USAGE}"))),
     }
 }
 
-// ---------------------------------------------------------------------
-// `qbss quality` — pinned competitive-ratio baselines, exact gate
-// ---------------------------------------------------------------------
-
-const QUALITY_USAGE: &str = "usage: qbss quality record  [--out FILE] [--scenarios LIST] [--shards S] [--trace FILE]\n       \
-                              qbss quality compare BASE NEW\n       \
-                              qbss quality gate    --base FILE [--new FILE] [--shards S] [--explain]";
-
-/// Loads and parses a quality baseline: a missing file is an I/O
-/// failure, a schema violation is bad input.
-fn load_quality_baseline(path: &str) -> Result<QualityBaseline, CliError> {
+/// Loads and parses a baseline: a missing file is an I/O failure, a
+/// schema violation is bad input.
+fn load_baseline<G: Gate>(path: &str) -> Result<G, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    QualityBaseline::parse(&text).map_err(|e| input(format!("{path}: {e}")))
+    G::parse(&text).map_err(|e| input(format!("{path}: {e}")))
 }
 
-/// `--scenarios a,b,c` (empty = all scenarios).
-fn scenario_names(flags: &Flags) -> Vec<String> {
-    flags.get("scenarios").map_or_else(Vec::new, |s| {
-        s.split(',').map(str::trim).filter(|t| !t.is_empty()).map(String::from).collect()
-    })
-}
-
-fn quality_record(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["out", "scenarios", "shards", "trace"])?;
-    let _telemetry = init_telemetry(&flags)?;
-    let _span = qbss_telemetry::span!("cli.quality.record");
-    let names = scenario_names(&flags);
-    let shards = flags.usize("shards", 0)?;
-    let baseline = quality::record(&names, shards).map_err(|e| input(e.to_string()))?;
-    let json = baseline.to_json();
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &json)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-            status_user(&format!(
-                "wrote quality baseline ({} scenario(s)) to {path}",
-                baseline.scenarios.len()
-            ));
-        }
-        None => print!("{json}"),
+/// Telemetry for a command whose vocabulary has `--trace` (from
+/// `--trace`/`QBSS_LOG`), except under `--profile`, whose profiler owns
+/// the span sink.
+fn observatory_telemetry(flags: &Flags, known: &[&str]) -> Result<Option<Telemetry>, CliError> {
+    if !known.contains(&"trace") || flags.switch("profile")? {
+        return Ok(None);
     }
-    Ok(())
+    init_telemetry(flags).map(Some)
 }
 
-fn quality_compare(args: &[String]) -> Result<(), CliError> {
+fn observatory_record<G: GateCmd>(args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse_with_switches(args, G::RECORD_FLAGS, &["profile"])?;
+    let _telemetry = observatory_telemetry(&flags, G::RECORD_FLAGS)?;
+    let _span = qbss_telemetry::span!(G::SPANS[0]);
+    let names: Vec<String> = flags.get("scenarios").map_or_else(Vec::new, |s| {
+        s.split(',').map(str::trim).filter(|t| !t.is_empty()).map(String::from).collect()
+    });
+    let baseline = G::measure(&flags, &names, &G::config(&flags, None)?, None)?;
+    let what = format!("{} baseline ({} scenario(s))", G::KIND, baseline.scenario_names().len());
+    write_text_out(&flags, &baseline.encode(&flags)?, &what)
+}
+
+fn observatory_compare<G: GateCmd>(args: &[String]) -> Result<(), CliError> {
+    let kind = G::KIND;
     let Some((base_path, rest)) = args.split_first() else {
-        return Err(input(format!("quality compare needs BASE and NEW files\n{QUALITY_USAGE}")));
+        return Err(input(format!("{kind} compare needs BASE and NEW files\n{}", G::USAGE)));
     };
     let Some((new_path, flag_args)) = rest.split_first() else {
-        return Err(input(format!("quality compare needs a NEW file\n{QUALITY_USAGE}")));
+        return Err(input(format!("{kind} compare needs a NEW file\n{}", G::USAGE)));
     };
     Flags::parse(flag_args, &[])?;
-    let base = load_quality_baseline(base_path)?;
-    let new = load_quality_baseline(new_path)?;
-    print!("{}", quality::compare(&base, &new).render());
+    let base: G = load_baseline(base_path)?;
+    let new: G = load_baseline(new_path)?;
+    print!("{}", G::compare(&base, &new).render());
     Ok(())
 }
 
-fn quality_gate(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse_with_switches(
-        args,
-        &["base", "new", "shards", "explain", "trace"],
-        &["explain"],
-    )?;
-    let _telemetry = init_telemetry(&flags)?;
-    let _span = qbss_telemetry::span!("cli.quality.gate");
+fn observatory_gate<G: GateCmd>(args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse_with_switches(args, G::GATE_FLAGS, &["explain"])?;
+    let _telemetry = observatory_telemetry(&flags, G::GATE_FLAGS)?;
+    let _span = qbss_telemetry::span!(G::SPANS[1]);
     let base_path = flags.get("base").ok_or_else(|| input("--base FILE is required"))?;
-    let base = load_quality_baseline(base_path)?;
+    let base: G = load_baseline(base_path)?;
     let new = match flags.get("new") {
-        Some(path) => load_quality_baseline(path)?,
-        // No --new: re-evaluate the baseline's own scenarios live. The
-        // seeds are pinned, so a clean gate means byte-equal statistics.
+        Some(path) => load_baseline(path)?,
+        // No --new: re-measure the baseline's own scenarios live. The
+        // exact kinds pin every input, so a clean gate means byte-equal
+        // statistics.
         None => {
-            let names: Vec<String> = base.scenarios.keys().cloned().collect();
-            quality::record(&names, flags.usize("shards", 0)?)
-                .map_err(|e| input(e.to_string()))?
+            let config = G::config(&flags, Some(&base))?;
+            G::measure(&flags, &base.scenario_names(), &config, Some(&base))?
         }
     };
-    let report = quality::compare(&base, &new);
-    // `--explain` names the reproducible worst cell (scenario, seed,
-    // instance) for every regression, so a CI failure can be
-    // regenerated and `qbss explain`-ed offline.
+    let report = G::compare(&base, &new);
+    // `--explain` prints the kind's diagnosis: perf's full table with
+    // profile blame and the counter cross-reference, quality's worst
+    // (seed, instance) cell, complexity's counter and grid point.
     if flags.switch("explain")? {
         print!("{}", report.render_explain());
     } else {
@@ -1503,147 +1444,49 @@ fn quality_gate(args: &[String]) -> Result<(), CliError> {
     if report.is_clean() {
         return Ok(());
     }
-    // An intentional ratio change (algorithm fix, new scenario shape)
-    // is accepted by re-recording the baseline, never by loosening the
-    // comparison — the gate is exact.
-    if std::env::var("QBSS_BLESS").is_ok_and(|v| v == "1") {
+    // An intentional change is accepted by re-recording the baseline,
+    // never by loosening the comparison.
+    if bless_requested() {
         std::fs::write(base_path, new.to_json())
             .map_err(|e| CliError::Io(format!("cannot write {base_path}: {e}")))?;
         status_user(&format!("QBSS_BLESS=1: re-blessed {base_path} with the new measurements"));
         return Ok(());
     }
     Err(CliError::Gate(format!(
-        "{} quality regression(s) against {base_path} (rerun with QBSS_BLESS=1 to re-bless)",
-        report.regressions.len()
+        "{} against {base_path} (rerun with QBSS_BLESS=1 to re-bless)",
+        report.verdict()
     )))
+}
+
+/// `qbss perf|quality|complexity record|compare|gate`.
+fn observatory_cmd<G: GateCmd>(args: &[String]) -> Result<(), CliError> {
+    let Some((action, rest)) = args.split_first() else {
+        return Err(input(G::USAGE));
+    };
+    match action.as_str() {
+        "record" => observatory_record::<G>(rest),
+        "compare" => observatory_compare::<G>(rest),
+        "gate" => observatory_gate::<G>(rest),
+        other => Err(input(format!("unknown {} action `{other}`\n{}", G::KIND, G::USAGE))),
+    }
+}
+
+/// `qbss perf` — record statistical wall-time baselines, diff them,
+/// gate CI under the noise-aware threshold.
+pub fn perf(args: &[String]) -> Result<(), CliError> {
+    observatory_cmd::<Baseline>(args)
 }
 
 /// `qbss quality` — record pinned competitive-ratio baselines, diff
 /// them, gate CI exactly.
 pub fn quality_cmd(args: &[String]) -> Result<(), CliError> {
-    let Some((action, rest)) = args.split_first() else {
-        return Err(input(QUALITY_USAGE));
-    };
-    match action.as_str() {
-        "record" => quality_record(rest),
-        "compare" => quality_compare(rest),
-        "gate" => quality_gate(rest),
-        other => Err(input(format!("unknown quality action `{other}`\n{QUALITY_USAGE}"))),
-    }
-}
-
-// ---------------------------------------------------------------------
-// `qbss complexity` — deterministic op counters, exact asymptotic gate
-// ---------------------------------------------------------------------
-
-const COMPLEXITY_USAGE: &str = "usage: qbss complexity record  [--out FILE] [--scenarios LIST] [--format json|csv] [--trace FILE]\n       \
-                                 qbss complexity compare BASE NEW\n       \
-                                 qbss complexity gate    --base FILE [--new FILE] [--explain]";
-
-/// Loads and parses a complexity baseline: a missing file is an I/O
-/// failure, a schema violation is bad input.
-fn load_complexity_baseline(path: &str) -> Result<ComplexityBaseline, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    ComplexityBaseline::parse(&text).map_err(|e| input(format!("{path}: {e}")))
-}
-
-fn complexity_record(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["out", "scenarios", "format", "trace"])?;
-    let _telemetry = init_telemetry(&flags)?;
-    let _span = qbss_telemetry::span!("cli.complexity.record");
-    let names = scenario_names(&flags);
-    let baseline = complexity::record(&names).map_err(|e| input(e.to_string()))?;
-    let body = match flags.get("format").unwrap_or("json") {
-        "json" => baseline.to_json(),
-        "csv" => baseline.to_csv(),
-        other => return Err(input(format!("unknown format `{other}` (expected json|csv)"))),
-    };
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-            status_user(&format!(
-                "wrote complexity baseline ({} scenario(s)) to {path}",
-                baseline.scenarios.len()
-            ));
-        }
-        None => print!("{body}"),
-    }
-    Ok(())
-}
-
-fn complexity_compare(args: &[String]) -> Result<(), CliError> {
-    let Some((base_path, rest)) = args.split_first() else {
-        return Err(input(format!(
-            "complexity compare needs BASE and NEW files\n{COMPLEXITY_USAGE}"
-        )));
-    };
-    let Some((new_path, flag_args)) = rest.split_first() else {
-        return Err(input(format!("complexity compare needs a NEW file\n{COMPLEXITY_USAGE}")));
-    };
-    Flags::parse(flag_args, &[])?;
-    let base = load_complexity_baseline(base_path)?;
-    let new = load_complexity_baseline(new_path)?;
-    print!("{}", complexity::compare(&base, &new).render());
-    Ok(())
-}
-
-fn complexity_gate(args: &[String]) -> Result<(), CliError> {
-    let flags =
-        Flags::parse_with_switches(args, &["base", "new", "explain", "trace"], &["explain"])?;
-    let _telemetry = init_telemetry(&flags)?;
-    let _span = qbss_telemetry::span!("cli.complexity.gate");
-    let base_path = flags.get("base").ok_or_else(|| input("--base FILE is required"))?;
-    let base = load_complexity_baseline(base_path)?;
-    let new = match flags.get("new") {
-        Some(path) => load_complexity_baseline(path)?,
-        // No --new: re-count the baseline's own scenarios live. The
-        // counters are deterministic, so a clean gate means byte-equal
-        // counts at every grid point.
-        None => {
-            let names: Vec<String> = base.scenarios.keys().cloned().collect();
-            complexity::record(&names).map_err(|e| input(e.to_string()))?
-        }
-    };
-    let report = complexity::compare(&base, &new);
-    // `--explain` names the counter, grid point, and old → new counts
-    // for every regression.
-    if flags.switch("explain")? {
-        print!("{}", report.render_explain());
-    } else {
-        print!("{}", report.render());
-    }
-    if report.is_clean() {
-        return Ok(());
-    }
-    // An intentional work change (algorithm rewrite, new scenario
-    // shape) is accepted by re-recording the baseline, never by
-    // loosening the comparison — the gate is exact.
-    if std::env::var("QBSS_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(base_path, new.to_json())
-            .map_err(|e| CliError::Io(format!("cannot write {base_path}: {e}")))?;
-        status_user(&format!("QBSS_BLESS=1: re-blessed {base_path} with the new counts"));
-        return Ok(());
-    }
-    Err(CliError::Gate(format!(
-        "{} complexity regression(s) against {base_path} (rerun with QBSS_BLESS=1 to re-bless)",
-        report.regressions.len()
-    )))
+    observatory_cmd::<QualityBaseline>(args)
 }
 
 /// `qbss complexity` — record deterministic op-count curves, diff them,
 /// gate CI exactly on any extra work.
 pub fn complexity_cmd(args: &[String]) -> Result<(), CliError> {
-    let Some((action, rest)) = args.split_first() else {
-        return Err(input(COMPLEXITY_USAGE));
-    };
-    match action.as_str() {
-        "record" => complexity_record(rest),
-        "compare" => complexity_compare(rest),
-        "gate" => complexity_gate(rest),
-        other => Err(input(format!("unknown complexity action `{other}`\n{COMPLEXITY_USAGE}"))),
-    }
+    observatory_cmd::<ComplexityBaseline>(args)
 }
 
 // ---------------------------------------------------------------------
@@ -1843,26 +1686,12 @@ fn prof_record(args: &[String]) -> Result<(), CliError> {
                 repeats: flags.usize("repeats", 1)?,
                 shards: flags.usize("shards", PerfConfig::default().shards)?,
             };
-            if config.repeats == 0 {
-                return Err(input("--repeats must be at least 1"));
-            }
             let name = name.to_string();
-            let (profile, dropped) = {
-                let (ring, _telemetry) = init_profile_ring()?;
-                let mut baseline =
-                    perf::record_profiled(std::slice::from_ref(&name), config, Some(&ring))
-                        .map_err(|e| input(e.to_string()))?;
-                let p = baseline.profiles.remove(&name).ok_or_else(|| {
-                    CliError::Io(format!("scenario {name} produced no profile"))
-                })?;
-                (p, ring.dropped())
-            };
-            if dropped > 0 {
-                warn_user(&format!(
-                    "profile ring dropped {dropped} span record(s); the profile is truncated"
-                ));
-            }
-            profile
+            let mut baseline = record_with_profiles(std::slice::from_ref(&name), config)?;
+            baseline
+                .profiles
+                .remove(&name)
+                .ok_or_else(|| CliError::Io(format!("scenario {name} produced no profile")))?
         }
         (None, None) => {
             return Err(input(format!(
@@ -2250,7 +2079,8 @@ mod tests {
     }
 
     fn toy_baseline(median: f64) -> Baseline {
-        use qbss_bench::perf::{EnvFingerprint, ScenarioStats};
+        use qbss_bench::observatory::EnvFingerprint;
+        use qbss_bench::perf::ScenarioStats;
         let samples = vec![median, median * 1.01, median * 0.99];
         let med = perf::median(&samples);
         Baseline {
@@ -2296,9 +2126,6 @@ mod tests {
         assert_eq!(err.exit_code(), 3);
         // …but `compare` only reports, never gates.
         perf(&args(&["compare", b, s])).expect("compare reports without failing");
-        // A loose enough threshold lets the slowdown through.
-        perf(&args(&["gate", "--base", b, "--new", s, "--min-rel", "1.5"]))
-            .expect("custom threshold");
         // Missing file → I/O; broken schema → bad input; bad action → bad input.
         assert_eq!(perf(&args(&["gate", "--base", "/no/file"])).unwrap_err().exit_code(), 3);
         let junk = dir.join("junk.json");
@@ -2308,6 +2135,11 @@ mod tests {
         assert_eq!(err.exit_code(), 2, "{err}");
         assert_eq!(perf(&args(&["explode"])).unwrap_err().exit_code(), 2);
         assert_eq!(perf(&args(&["record", "--repeats", "0"])).unwrap_err().exit_code(), 2);
+        // The gate's re-measure validates its config the same way, so a
+        // blessed baseline can never carry zero repeats.
+        let err = perf(&args(&["gate", "--base", b, "--repeats", "0"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("--repeats must be at least 1"), "{err}");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use qbss_bench::observatory::Gate;
+
 fn qbss(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_qbss"));
     cmd.args(args).env_remove("QBSS_LOG");
@@ -164,7 +166,8 @@ fn trace_commands_read_stdin_when_file_is_dash() {
 
 #[test]
 fn perf_gate_explain_prints_the_full_breakdown() {
-    use qbss_bench::perf::{Baseline, EnvFingerprint, PerfConfig, ScenarioStats};
+    use qbss_bench::observatory::EnvFingerprint;
+    use qbss_bench::perf::{Baseline, PerfConfig, ScenarioStats};
     use std::collections::BTreeMap;
 
     let stats = |samples: &[f64]| {
@@ -361,6 +364,142 @@ fn quality_record_gate_and_bless_end_to_end() {
     assert_eq!(bad.status.code(), Some(2));
 }
 
+/// One observatory kind, driven end to end by
+/// `observatory_record_gate_and_bless_for_every_kind`.
+struct GateRow {
+    kind: &'static str,
+    /// `record` arguments for one small scenario.
+    record: &'static [&'static str],
+    /// Whether `gate` re-measures live; perf instead gates against the
+    /// recorded file, since wall time does not reproduce.
+    live: bool,
+    /// Rewrites a recorded baseline into one the recording regresses
+    /// against.
+    doctor: fn(&str) -> String,
+    /// What `gate --explain` must print for the doctored base.
+    needles: &'static [&'static str],
+    /// What a clean gate prints.
+    clean: &'static str,
+}
+
+fn doctor_perf(text: &str) -> String {
+    let mut b = qbss_bench::perf::Baseline::parse(text).expect("valid perf baseline");
+    for s in b.scenarios.values_mut() {
+        s.median_ms *= 0.1;
+        s.mad_ms *= 0.1;
+        s.min_ms *= 0.1;
+        s.samples_ms.iter_mut().for_each(|x| *x *= 0.1);
+    }
+    b.to_json()
+}
+
+fn doctor_quality(text: &str) -> String {
+    let mut b = qbss_bench::quality::QualityBaseline::parse(text).expect("valid quality baseline");
+    for g in b.scenarios.values_mut().flat_map(|s| s.groups.iter_mut()) {
+        g.max *= 0.5;
+        g.headroom = g.headroom.map(|h| h * 0.5);
+    }
+    b.to_json()
+}
+
+fn doctor_complexity(text: &str) -> String {
+    let mut b =
+        qbss_bench::complexity::ComplexityBaseline::parse(text).expect("valid complexity baseline");
+    for c in b.scenarios.values_mut().flat_map(|s| s.counters.iter_mut()) {
+        c.counts.iter_mut().for_each(|n| *n = n.saturating_sub(1));
+    }
+    b.to_json()
+}
+
+#[test]
+fn observatory_record_gate_and_bless_for_every_kind() {
+    let rows = [
+        GateRow {
+            kind: "perf",
+            record: &["--scenarios", "serve-sweep", "--repeats", "2", "--warmup", "0", "--shards", "1"],
+            live: false,
+            doctor: doctor_perf,
+            needles: &[
+                "REGRESSED",
+                "limit = base + max(3×mad, 0.25×base)",
+                "work counters unchanged — likely timer noise",
+            ],
+            clean: "no perf regression",
+        },
+        GateRow {
+            kind: "quality",
+            record: &["--scenarios", "golden-common"],
+            live: true,
+            doctor: doctor_quality,
+            needles: &["scenario `golden-common`", "max ratio worsened", "worst cell: seed"],
+            clean: "no quality regression",
+        },
+        GateRow {
+            kind: "complexity",
+            record: &["--scenarios", "oa-stream"],
+            live: true,
+            doctor: doctor_complexity,
+            needles: &["scenario `oa-stream` counter `oa.", "op count at n="],
+            clean: "no complexity regression",
+        },
+    ];
+    // The informational build line may move between two records.
+    let without_build =
+        |t: &str| t.lines().filter(|l| !l.contains("\"build\"")).collect::<Vec<_>>().join("\n");
+    for row in rows {
+        let kind = row.kind;
+        let base = tmp(&format!("observatory_{kind}_base.json"));
+        let out = run_ok(qbss(&[kind, "record"]).args(row.record).arg("--out").arg(&base));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("wrote {kind} baseline")), "{kind}: {stderr}");
+        let recorded = std::fs::read_to_string(&base).expect("baseline written");
+        let gate = |base_path: &PathBuf, explain: bool| {
+            let mut cmd = qbss(&[kind, "gate"]);
+            if explain {
+                cmd.arg("--explain");
+            }
+            cmd.arg("--base").arg(base_path);
+            if !row.live {
+                cmd.arg("--new").arg(&base);
+            }
+            cmd
+        };
+
+        // A baseline gates clean against itself (a live re-measure for
+        // the exact kinds).
+        let out = run_ok(&mut gate(&base, false));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(row.clean), "{kind}: {stdout}");
+
+        // A doctored base the recording regresses against exits 3, and
+        // `--explain` prints the kind's diagnosis.
+        let doctored = tmp(&format!("observatory_{kind}_doctored.json"));
+        std::fs::write(&doctored, (row.doctor)(&recorded)).expect("write doctored base");
+        let out = gate(&doctored, true).output().expect("runs");
+        assert_eq!(out.status.code(), Some(3), "{kind}: a regression must exit 3");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for needle in row.needles {
+            assert!(stdout.contains(needle), "{kind}: missing `{needle}` in:\n{stdout}");
+        }
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("rerun with QBSS_BLESS=1 to re-bless"), "{kind}: {stderr}");
+
+        // Only QBSS_BLESS=1 blesses: any other value leaves the base as is.
+        let before = std::fs::read_to_string(&doctored).expect("doctored base");
+        let out = gate(&doctored, false).env("QBSS_BLESS", "0").output().expect("runs");
+        assert_eq!(out.status.code(), Some(3), "{kind}: QBSS_BLESS=0 must not bless");
+        assert_eq!(std::fs::read_to_string(&doctored).expect("unchanged"), before, "{kind}");
+
+        // QBSS_BLESS=1 rewrites the base with the new measurements, which
+        // then gate clean.
+        run_ok(gate(&doctored, false).env("QBSS_BLESS", "1"));
+        let blessed = std::fs::read_to_string(&doctored).expect("re-blessed");
+        assert_eq!(without_build(&blessed), without_build(&recorded), "{kind}");
+        let out = run_ok(&mut gate(&doctored, false));
+        assert!(String::from_utf8_lossy(&out.stdout).contains(row.clean), "{kind}");
+    }
+}
+
 #[test]
 fn explain_factors_the_ratio_and_writes_the_timeline() {
     // JSON mode: the factors multiply back to the ratio within 1e-9.
@@ -466,6 +605,23 @@ fn removed_aliases_are_rejected_as_unknown_flags() {
         assert_eq!(out.status.code(), Some(2), "{alias:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("unknown flag"), "{alias:?}: {err}");
+    }
+    // The perf gate's threshold is fixed: the old knobs are gone too.
+    let base = tmp("alias_perf_base.json");
+    run_ok(
+        qbss(&["perf", "record", "--scenarios", "serve-sweep", "--repeats", "1", "--warmup", "0"])
+            .arg("--out")
+            .arg(&base),
+    );
+    for knob in [["--mad-factor", "0"], ["--min-rel", "1.5"]] {
+        let compare = qbss(&["perf", "compare"]).arg(&base).arg(&base).args(knob).output();
+        let gate = qbss(&["perf", "gate", "--base"]).arg(&base).arg("--new").arg(&base).args(knob).output();
+        for out in [compare, gate] {
+            let out = out.expect("binary runs");
+            assert_eq!(out.status.code(), Some(2), "{knob:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("unknown flag"), "{knob:?}: {err}");
+        }
     }
 }
 
