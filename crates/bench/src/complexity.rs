@@ -148,32 +148,26 @@ pub fn scenarios() -> Vec<ComplexityScenario> {
     vec![
         ComplexityScenario {
             name: "yds-offline",
-            description: "one YDS solve per n, online family (critical-interval scans)",
             work: Scaling { grid: &[50, 100, 200, 400, 800], run: run_yds },
         },
         ComplexityScenario {
             name: "avr-stream",
-            description: "AVR stream fed release-ordered, one finish per n",
             work: Scaling { grid: &[500, 1000, 2000, 4000], run: run_avr },
         },
         ComplexityScenario {
             name: "oa-stream",
-            description: "OA stream fed release-ordered (hull maintenance per arrival)",
             work: Scaling { grid: &[200, 400, 800, 1600], run: run_oa },
         },
         ComplexityScenario {
             name: "bkp-stream",
-            description: "BKP stream fed release-ordered, intensity queries at finish",
             work: Scaling { grid: &[50, 100, 200, 400], run: run_bkp },
         },
         ComplexityScenario {
             name: "fw-multi",
-            description: "Frank-Wolfe OPT(m=3) at 12 iterations per n",
             work: Scaling { grid: &[8, 16, 32, 64], run: run_fw },
         },
         ComplexityScenario {
             name: "engine-online",
-            description: "avrq+oaq x 3 seeds through the engine (streaming core + OPT memo)",
             work: Scaling { grid: &[40, 80, 160, 320], run: run_engine },
         },
     ]

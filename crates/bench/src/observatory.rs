@@ -257,8 +257,6 @@ impl From<EngineError> for ObservatoryError {
 pub struct Scenario<W> {
     /// Stable name (the baseline JSON key and the `--scenarios` token).
     pub name: &'static str,
-    /// One-line description of the workload.
-    pub description: &'static str,
     /// What the kind runs.
     pub work: W,
 }

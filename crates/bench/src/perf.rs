@@ -223,36 +223,12 @@ fn stream_large() -> EvalSpec {
 /// Every named scenario, in canonical order.
 pub fn scenarios() -> Vec<Scenario> {
     vec![
-        Scenario {
-            name: "ci-small",
-            description: "3 online algorithms × 2 α × 400 common-deadline instances (n=10)",
-            work: Kind::Sweep(ci_small),
-        },
-        Scenario {
-            name: "engine-all",
-            description: "all 9 configurations × 2 α × 8 common-deadline instances (n=8)",
-            work: Kind::Sweep(engine_all),
-        },
-        Scenario {
-            name: "online-large",
-            description: "3 online algorithms × 16 online instances (n=40)",
-            work: Kind::Sweep(online_large),
-        },
-        Scenario {
-            name: "multi-machine",
-            description: "3 multi-machine configurations (m=3) × 8 online instances (n=16)",
-            work: Kind::Sweep(multi_machine),
-        },
-        Scenario {
-            name: "serve-sweep",
-            description: "the loadgen /sweep payload: avrq+bkpq × 2 α × 3 instances (n=8)",
-            work: Kind::Sweep(serve_sweep),
-        },
-        Scenario {
-            name: "stream-large",
-            description: "the OA arrival path: oaq × 2 dense online instances (n=1200)",
-            work: Kind::Eval(stream_large),
-        },
+        Scenario { name: "ci-small", work: Kind::Sweep(ci_small) },
+        Scenario { name: "engine-all", work: Kind::Sweep(engine_all) },
+        Scenario { name: "online-large", work: Kind::Sweep(online_large) },
+        Scenario { name: "multi-machine", work: Kind::Sweep(multi_machine) },
+        Scenario { name: "serve-sweep", work: Kind::Sweep(serve_sweep) },
+        Scenario { name: "stream-large", work: Kind::Eval(stream_large) },
     ]
 }
 

@@ -113,26 +113,10 @@ fn multi_machine() -> SweepSpec {
 /// Every named quality scenario, in canonical order.
 pub fn scenarios() -> Vec<QualityScenario> {
     vec![
-        QualityScenario {
-            name: "golden-common",
-            description: "crcd+avrq+bkpq × 2 α × 50 common-deadline instances (n=10)",
-            work: golden_common,
-        },
-        QualityScenario {
-            name: "golden-online",
-            description: "avrq+bkpq+oaq × 2 α × 40 online instances (n=24)",
-            work: golden_online,
-        },
-        QualityScenario {
-            name: "heavytail-online",
-            description: "avrq+bkpq × 2 α × 40 heavy-tail online instances (n=16)",
-            work: heavytail_online,
-        },
-        QualityScenario {
-            name: "multi-machine",
-            description: "avrq-m:3 + avrq-m-nonmig:3 × 16 online instances (n=12)",
-            work: multi_machine,
-        },
+        QualityScenario { name: "golden-common", work: golden_common },
+        QualityScenario { name: "golden-online", work: golden_online },
+        QualityScenario { name: "heavytail-online", work: heavytail_online },
+        QualityScenario { name: "multi-machine", work: multi_machine },
     ]
 }
 

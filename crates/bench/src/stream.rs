@@ -1,24 +1,22 @@
 //! Streaming sessions — the bench/serve-facing wrapper over
-//! [`qbss_core::stream::OnlineSolver`] (DESIGN.md §14).
+//! [`qbss_core::stream::StreamingSolver`] (DESIGN.md §14).
 //!
-//! A [`StreamSession`] owns a boxed streaming solver plus the arrivals
-//! fed so far, and finishes with the same guard chain as the batch
-//! pipeline ([`qbss_core::pipeline::run_evaluated`]): outcome
-//! validation against the accumulated instance, then the energy and
-//! peak-speed finiteness gate at the session's `α`. A session fed the
-//! canonical arrival order therefore yields an [`Evaluated`]
+//! A [`StreamSession`] owns a streaming solver and the session's `α`,
+//! and finishes with the batch pipeline's guard chain
+//! ([`Evaluated::check`]): outcome validation against the jobs fed so
+//! far, then the energy and peak-speed finiteness gate at `α`. A session
+//! fed the canonical arrival order therefore yields an [`Evaluated`]
 //! bit-identical to the batch run of the same jobs.
 
 use qbss_core::error::QbssError;
 use qbss_core::model::{QJob, QbssInstance};
-use qbss_core::pipeline::{Algorithm, Evaluated};
-use qbss_core::stream::{solver_for, OnlineSolver, SpeedDelta, StreamError};
+use qbss_core::pipeline::{check_alpha, Algorithm, Evaluated};
+use qbss_core::stream::{solver_for, SpeedDelta, StreamError, StreamingSolver};
 
 /// One live streaming run: arrivals in, an [`Evaluated`] out.
 pub struct StreamSession {
-    solver: Box<dyn OnlineSolver + Send>,
+    solver: StreamingSolver,
     alpha: f64,
-    jobs: Vec<QJob>,
 }
 
 impl StreamSession {
@@ -29,11 +27,9 @@ impl StreamSession {
     /// invalid exponents with the same typed errors as the batch
     /// pipeline.
     pub fn new(algorithm: Algorithm, alpha: f64) -> Result<Self, QbssError> {
-        if !alpha.is_finite() || alpha <= 1.0 {
-            return Err(QbssError::InvalidAlpha { alpha });
-        }
+        check_alpha(alpha)?;
         let solver = solver_for(algorithm)?;
-        Ok(Self { solver, alpha, jobs: Vec::new() })
+        Ok(Self { solver, alpha })
     }
 
     /// The algorithm this session runs.
@@ -63,16 +59,14 @@ impl StreamSession {
 
     /// Jobs fed so far.
     pub fn jobs(&self) -> usize {
-        self.jobs.len()
+        self.solver.jobs().len()
     }
 
     /// Feeds one arriving job; on success returns the speed change at
     /// the arrival instant. Rejected arrivals leave the session
     /// unchanged.
     pub fn arrive(&mut self, job: QJob) -> Result<SpeedDelta, StreamError> {
-        let delta = self.solver.on_arrival(job)?;
-        self.jobs.push(job);
-        Ok(delta)
+        self.solver.on_arrival(job)
     }
 
     /// Advances the stream clock with no arrival (releases completed
@@ -85,16 +79,9 @@ impl StreamSession {
     /// outcome passes the batch pipeline's guards (validation against
     /// the fed arrivals, finiteness at `α`).
     pub fn finish(self) -> Result<Evaluated, QbssError> {
-        let Self { solver, alpha, jobs } = self;
-        let inst = QbssInstance::new(jobs);
-        let outcome = solver.finish()?;
-        outcome.validate(&inst)?;
-        let energy = outcome.energy(alpha);
-        let max_speed = outcome.max_speed();
-        if !energy.is_finite() || !max_speed.is_finite() {
-            return Err(QbssError::NonFiniteCost { algorithm: outcome.algorithm.clone() });
-        }
-        Ok(Evaluated { outcome, energy, max_speed })
+        let inst = QbssInstance::new(self.solver.jobs().to_vec());
+        let outcome = self.solver.finish()?;
+        Evaluated::check(&inst, self.alpha, outcome)
     }
 }
 

@@ -624,21 +624,9 @@ fn parse_event(line: &str) -> Result<StreamEvent, String> {
             .ok_or_else(|| format!("`{ty}` event needs a number field `{name}`"))
     };
     match ty {
-        "arrive" => {
-            let id = v
-                .get("id")
-                .and_then(JsonValue::as_u64)
-                .filter(|&id| id <= u64::from(u32::MAX))
-                .ok_or_else(|| "`arrive` event needs an integer `id`".to_string())?;
-            Ok(StreamEvent::Arrive(QJob::new_unchecked(
-                id as u32,
-                num("release")?,
-                num("deadline")?,
-                num("query_load")?,
-                num("upper_bound")?,
-                num("exact")?,
-            )))
-        }
+        "arrive" => io::job_from_value(&v)
+            .map(StreamEvent::Arrive)
+            .map_err(|e| format!("`arrive` event {e}")),
         "advance" => Ok(StreamEvent::Advance(num("t")?)),
         "finish" => Ok(StreamEvent::Finish),
         other => Err(format!("unknown event type `{other}` (arrive|advance|finish)")),

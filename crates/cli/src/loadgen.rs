@@ -23,8 +23,7 @@
 //! Latencies feed a [`Histogram`] over [`DURATION_US_BOUNDS`] (the same
 //! percentile machinery `/metrics` uses), statuses are tallied per
 //! code, and `429`s are checked for `Retry-After`. The report is
-//! canonical JSON (`qbss-loadgen-report/1`) so blessed runs can be
-//! committed as `BENCH_serve.json` and diffed across PRs.
+//! canonical JSON (`qbss-loadgen-report/1`).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};

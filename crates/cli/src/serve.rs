@@ -91,7 +91,7 @@ use qbss_core::pipeline::{run_for_request, Algorithm};
 use qbss_instances::io::{self, IoError};
 use qbss_telemetry::profile::Profile;
 use qbss_telemetry::{
-    expo, json_escape, json_f64, target_matches, trace, JsonValue, RingSink, DURATION_US_BOUNDS,
+    expo, json_escape, json_f64, target_matches, trace, RingSink, DURATION_US_BOUNDS,
 };
 
 /// Largest accepted request body (instances and sweep specs are small;
@@ -1046,24 +1046,8 @@ fn job_from_json(body: &[u8]) -> Result<QJob, Response> {
     };
     let v = qbss_telemetry::json_parse(text)
         .map_err(|e| Response::error(400, "syntax", &format!("not a JSON job object: {e}")))?;
-    let id = v
-        .get("id")
-        .and_then(JsonValue::as_u64)
-        .filter(|&id| id <= u64::from(u32::MAX))
-        .ok_or_else(|| Response::error(400, "syntax", "job object needs an integer `id`"))?;
-    let num = |name: &str| {
-        v.get(name).and_then(JsonValue::as_f64).ok_or_else(|| {
-            Response::error(400, "syntax", &format!("job object needs a number field `{name}`"))
-        })
-    };
-    Ok(QJob::new_unchecked(
-        id as u32,
-        num("release")?,
-        num("deadline")?,
-        num("query_load")?,
-        num("upper_bound")?,
-        num("exact")?,
-    ))
+    io::job_from_value(&v)
+        .map_err(|e| Response::error(400, "syntax", &format!("job object {e}")))
 }
 
 /// `POST /session` — opens a streaming session (`?alg=`, `?alpha=`).

@@ -43,29 +43,25 @@ pub fn try_avrq(inst: &QbssInstance) -> Result<QbssOutcome, AlgorithmError> {
     try_avrq_with(inst, Strategy::always_equal())
 }
 
-/// AVRQ with an arbitrary deterministic strategy — the entry point of
-/// the split-point and query-threshold ablations (E10). The paper's
-/// AVRQ is `avrq_with(inst, Strategy::always_equal())`. Panicking
-/// wrapper around [`try_avrq_with`].
+/// AVRQ with any deterministic strategy whose split reads only visible
+/// data — the entry point of the split-point and query-threshold
+/// ablations (E10). The paper's AVRQ is
+/// `avrq_with(inst, Strategy::always_equal())`. Panicking wrapper around
+/// [`try_avrq_with`].
 pub fn avrq_with(inst: &QbssInstance, strategy: Strategy) -> QbssOutcome {
     try_avrq_with(inst, strategy).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible version of [`avrq_with`]: validates the instance and
-/// rejects randomized rules and empty input with typed errors. A thin
-/// adapter over the streaming engine
+/// rejects randomized rules, the oracle split and empty input with
+/// typed errors. A thin adapter over the streaming engine
 /// ([`crate::stream::StreamingSolver`]): jobs are fed in canonical
 /// arrival order and the stream is finished.
 pub fn try_avrq_with(
     inst: &QbssInstance,
     strategy: Strategy,
 ) -> Result<QbssOutcome, AlgorithmError> {
-    let solver = StreamingSolver::avrq_with(strategy)?;
-    inst.validate()?;
-    if inst.is_empty() {
-        return Err(AlgorithmError::EmptyInstance { algorithm: "AVRQ" });
-    }
-    batch_outcome(solver, inst)
+    batch_outcome(StreamingSolver::avrq_with(strategy)?, inst)
 }
 
 #[cfg(test)]

@@ -43,29 +43,25 @@ pub fn try_bkpq(inst: &QbssInstance) -> Result<QbssOutcome, AlgorithmError> {
     try_bkpq_with(inst, Strategy::golden_equal())
 }
 
-/// BKPQ with an arbitrary deterministic strategy — the entry point of
-/// the split-point and query-threshold ablations (E10). The paper's
-/// BKPQ is `bkpq_with(inst, Strategy::golden_equal())`. Panicking
-/// wrapper around [`try_bkpq_with`].
+/// BKPQ with any deterministic strategy whose split reads only visible
+/// data — the entry point of the split-point and query-threshold
+/// ablations (E10). The paper's BKPQ is
+/// `bkpq_with(inst, Strategy::golden_equal())`. Panicking wrapper around
+/// [`try_bkpq_with`].
 pub fn bkpq_with(inst: &QbssInstance, strategy: Strategy) -> QbssOutcome {
     try_bkpq_with(inst, strategy).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible version of [`bkpq_with`]: validates the instance and
-/// rejects randomized rules and empty input with typed errors. A thin
-/// adapter over the streaming engine
+/// rejects randomized rules, the oracle split and empty input with
+/// typed errors. A thin adapter over the streaming engine
 /// ([`crate::stream::StreamingSolver`]): jobs are fed in canonical
 /// arrival order and the stream is finished.
 pub fn try_bkpq_with(
     inst: &QbssInstance,
     strategy: Strategy,
 ) -> Result<QbssOutcome, AlgorithmError> {
-    let solver = StreamingSolver::bkpq_with(strategy)?;
-    inst.validate()?;
-    if inst.is_empty() {
-        return Err(AlgorithmError::EmptyInstance { algorithm: "BKPQ" });
-    }
-    batch_outcome(solver, inst)
+    batch_outcome(StreamingSolver::bkpq_with(strategy)?, inst)
 }
 
 /// The *randomized* BKPQ of the Lemma 4.4 experiments: each job is

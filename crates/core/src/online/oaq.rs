@@ -37,10 +37,6 @@ pub fn oaq(inst: &QbssInstance) -> QbssOutcome {
 /// engine ([`crate::stream::StreamingSolver`]): jobs are fed in
 /// canonical arrival order and the stream is finished.
 pub fn try_oaq(inst: &QbssInstance) -> Result<QbssOutcome, AlgorithmError> {
-    inst.validate()?;
-    if inst.is_empty() {
-        return Err(AlgorithmError::EmptyInstance { algorithm: "OAQ" });
-    }
     batch_outcome(StreamingSolver::oaq(), inst)
 }
 

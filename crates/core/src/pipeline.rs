@@ -244,6 +244,35 @@ pub struct Evaluated {
     pub max_speed: f64,
 }
 
+impl Evaluated {
+    /// The guard chain every outcome passes before a caller sees it,
+    /// batch ([`run_evaluated`]) or streamed: `alpha` must be a valid
+    /// power exponent, `outcome` must validate against `inst`, and its
+    /// energy at `alpha` and peak speed must be finite.
+    pub fn check(
+        inst: &QbssInstance,
+        alpha: f64,
+        outcome: QbssOutcome,
+    ) -> Result<Self, QbssError> {
+        check_alpha(alpha)?;
+        outcome.validate(inst)?;
+        let energy = outcome.energy(alpha);
+        let max_speed = outcome.max_speed();
+        if !energy.is_finite() || !max_speed.is_finite() {
+            return Err(QbssError::NonFiniteCost { algorithm: outcome.algorithm.clone() });
+        }
+        Ok(Self { outcome, energy, max_speed })
+    }
+}
+
+/// Rejects a power exponent that is not finite or not above 1.
+pub fn check_alpha(alpha: f64) -> Result<(), QbssError> {
+    if !alpha.is_finite() || alpha <= 1.0 {
+        return Err(QbssError::InvalidAlpha { alpha });
+    }
+    Ok(())
+}
+
 /// Runs `algorithm` on `inst` with every guard engaged (see module
 /// docs). `alpha` is the power exponent used both by planning
 /// algorithms that need it (OA(m)) and by the final finiteness check.
@@ -256,9 +285,7 @@ pub fn run_evaluated(
     alpha: f64,
     algorithm: Algorithm,
 ) -> Result<Evaluated, QbssError> {
-    if !alpha.is_finite() || alpha <= 1.0 {
-        return Err(QbssError::InvalidAlpha { alpha });
-    }
+    check_alpha(alpha)?;
     inst.validate()?;
     let mut span = qbss_telemetry::span!("pipeline.run", {
         algorithm = algorithm.to_string(),
@@ -276,11 +303,11 @@ pub fn run_evaluated(
         Algorithm::AvrqMNonmig { m } => try_avrq_m_nonmig(inst, m)?.outcome,
         Algorithm::OaqM { m, fw_iters } => try_oaq_m(inst, m, alpha, fw_iters)?.outcome,
     };
-    outcome.validate(inst)?;
+    let ev = Evaluated::check(inst, alpha, outcome)?;
     // Per-job query decisions: which jobs paid the query cost, the
     // chosen threshold τ_j, and the exact work w*_j the query revealed.
     if qbss_telemetry::enabled(qbss_telemetry::Level::Debug) {
-        for d in &outcome.decisions {
+        for d in &ev.outcome.decisions {
             let revealed = inst
                 .jobs
                 .iter()
@@ -299,14 +326,9 @@ pub fn run_evaluated(
             );
         }
     }
-    let energy = outcome.energy(alpha);
-    let max_speed = outcome.max_speed();
-    if !energy.is_finite() || !max_speed.is_finite() {
-        return Err(QbssError::NonFiniteCost { algorithm: outcome.algorithm.clone() });
-    }
-    span.record("queried", outcome.decisions.iter().filter(|d| d.queried).count());
-    span.record("energy", energy);
-    Ok(Evaluated { outcome, energy, max_speed })
+    span.record("queried", ev.outcome.decisions.iter().filter(|d| d.queried).count());
+    span.record("energy", ev.energy);
+    Ok(ev)
 }
 
 /// [`run_evaluated`] with the runtime invariant auditor engaged: after

@@ -1,13 +1,13 @@
-//! Streaming arrival engine — the [`OnlineSolver`] API (DESIGN.md §14).
+//! Streaming arrival engine — the [`StreamingSolver`] (DESIGN.md §14).
 //!
 //! The online QBSS algorithms are, conceptually, event processors: a job
 //! arrives, the algorithm decides its query and split on the spot, and
 //! the speed plan reacts. This module makes that shape the *primary*
-//! interface. An [`OnlineSolver`] consumes arrivals one at a time
-//! ([`OnlineSolver::on_arrival`]), can be advanced through quiet spans
-//! of time ([`OnlineSolver::advance_to`]), and produces the same
-//! validated [`QbssOutcome`] as the batch entry points when finished
-//! ([`OnlineSolver::finish`]).
+//! interface. A [`StreamingSolver`] consumes arrivals one at a time
+//! ([`StreamingSolver::on_arrival`]), can be advanced through quiet
+//! spans of time ([`StreamingSolver::advance_to`]), and produces the
+//! same validated [`QbssOutcome`] as the batch entry points when
+//! finished ([`StreamingSolver::finish`]).
 //!
 //! The batch entry points (`try_avrq`, `try_bkpq`, `try_oaq`) are thin
 //! adapters over this engine: they feed the instance in canonical
@@ -25,7 +25,7 @@
 //!   the query completes and `w*` becomes known. This is the structural
 //!   information-hiding guarantee of the model, enforced at the
 //!   streaming layer rather than by an offline argument.
-//! * [`OnlineSolver::advance_to`] releases pending exact parts and (for
+//! * [`StreamingSolver::advance_to`] releases pending exact parts and (for
 //!   OA) commits the planned profile up to `t`; time never flows
 //!   backwards.
 
@@ -38,11 +38,11 @@ use speed_scaling::stream::{AvrStream, BkpStream, OaStream};
 use speed_scaling::time::EPS;
 
 use crate::decision::{derived_instance, Decision};
-use crate::error::{AlgorithmError, ModelError, QbssError};
+use crate::error::{AlgorithmError, ModelError};
 use crate::model::{QJob, QbssInstance};
 use crate::outcome::QbssOutcome;
 use crate::pipeline::Algorithm;
-use crate::policy::{NoRandomness, Strategy};
+use crate::policy::{NoRandomness, SplitRule, Strategy};
 
 /// The speed change caused by one arrival: the substrate's live speed
 /// at the arrival instant, immediately before and after the event.
@@ -137,42 +137,6 @@ impl From<ModelError> for StreamError {
     }
 }
 
-/// An incremental QBSS solver: arrivals in, validated outcome out.
-///
-/// Implementations are event processors over the classical substrates
-/// of the `speed-scaling` crate; [`solver_for`] builds one for every
-/// streamable [`Algorithm`]. The trait is object safe — sessions hold a
-/// `Box<dyn OnlineSolver + Send>`.
-pub trait OnlineSolver {
-    /// The algorithm this solver runs.
-    fn algorithm(&self) -> Algorithm;
-
-    /// The stream clock: the latest arrival or advance time seen
-    /// (`−∞` before the first event).
-    fn now(&self) -> f64;
-
-    /// The substrate's live speed at the stream clock.
-    fn speed(&self) -> f64;
-
-    /// Number of events (arrivals and advances) processed so far.
-    fn events(&self) -> u64;
-
-    /// Feeds one arriving job, applying the algorithm's query and split
-    /// strategy on the spot. Arrivals must be fed in non-decreasing
-    /// release order. Returns the speed change at the arrival instant.
-    fn on_arrival(&mut self, job: QJob) -> Result<SpeedDelta, StreamError>;
-
-    /// Advances the stream clock to `t` with no arrival: releases the
-    /// exact parts of queries completing by `t` and commits the planned
-    /// profile up to `t`. Time never flows backwards.
-    fn advance_to(&mut self, t: f64) -> Result<(), StreamError>;
-
-    /// Finishes the stream: runs out the horizon and returns the same
-    /// validated [`QbssOutcome`] the batch entry point would produce
-    /// for the jobs fed so far.
-    fn finish(self: Box<Self>) -> Result<QbssOutcome, QbssError>;
-}
-
 /// The classical substrate a [`StreamingSolver`] drives.
 enum Substrate {
     Avr(AvrStream),
@@ -217,10 +181,10 @@ impl Substrate {
 /// The streaming engine behind AVRQ, BKPQ and OAQ: applies a
 /// deterministic [`Strategy`] per arrival, drives the matching classical
 /// substrate incrementally, and withholds each queried job's exact part
-/// until its split point passes.
+/// until its split point passes. [`solver_for`] builds the paper's
+/// configuration of every streamable [`Algorithm`].
 pub struct StreamingSolver {
     algorithm: Algorithm,
-    alg_name: &'static str,
     strategy: Strategy,
     substrate: Substrate,
     /// Arrived jobs, in feed order.
@@ -238,16 +202,22 @@ pub struct StreamingSolver {
 impl StreamingSolver {
     fn with(
         algorithm: Algorithm,
-        alg_name: &'static str,
         strategy: Strategy,
         substrate: Substrate,
     ) -> Result<Self, AlgorithmError> {
         if strategy.query.is_randomized() {
-            return Err(AlgorithmError::RandomizedRule { algorithm: alg_name });
+            return Err(AlgorithmError::RandomizedRule { algorithm: algorithm.name() });
+        }
+        // The oracle split reads w* at arrival, before the query runs.
+        if strategy.split == SplitRule::Oracle {
+            return Err(AlgorithmError::UnsupportedStructure {
+                algorithm: algorithm.name(),
+                reason: "a split rule over visible data; the oracle split reads the hidden w*"
+                    .into(),
+            });
         }
         Ok(Self {
             algorithm,
-            alg_name,
             strategy,
             substrate,
             jobs: Vec::new(),
@@ -259,10 +229,11 @@ impl StreamingSolver {
         })
     }
 
-    /// A streaming AVRQ solver with an arbitrary deterministic strategy
-    /// (the ablation entry point; the paper's AVRQ is [`Self::avrq`]).
+    /// A streaming AVRQ solver with any deterministic strategy whose split
+    /// reads only visible data (the ablation entry point; the paper's AVRQ
+    /// is [`Self::avrq`]).
     pub fn avrq_with(strategy: Strategy) -> Result<Self, AlgorithmError> {
-        Self::with(Algorithm::Avrq, "AVRQ", strategy, Substrate::Avr(AvrStream::new()))
+        Self::with(Algorithm::Avrq, strategy, Substrate::Avr(AvrStream::new()))
     }
 
     /// The paper's AVRQ: query always, split at the midpoint, AVR below.
@@ -270,10 +241,11 @@ impl StreamingSolver {
         Self::avrq_with(Strategy::always_equal()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// A streaming BKPQ solver with an arbitrary deterministic strategy
-    /// (the ablation entry point; the paper's BKPQ is [`Self::bkpq`]).
+    /// A streaming BKPQ solver with any deterministic strategy whose split
+    /// reads only visible data (the ablation entry point; the paper's BKPQ
+    /// is [`Self::bkpq`]).
     pub fn bkpq_with(strategy: Strategy) -> Result<Self, AlgorithmError> {
-        Self::with(Algorithm::Bkpq, "BKPQ", strategy, Substrate::Bkp(BkpStream::new()))
+        Self::with(Algorithm::Bkpq, strategy, Substrate::Bkp(BkpStream::new()))
     }
 
     /// The paper's BKPQ: golden-ratio rule, midpoint split, BKP below.
@@ -281,9 +253,10 @@ impl StreamingSolver {
         Self::bkpq_with(Strategy::golden_equal()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// A streaming OAQ solver with an arbitrary deterministic strategy.
+    /// A streaming OAQ solver with any deterministic strategy whose split
+    /// reads only visible data.
     pub fn oaq_with(strategy: Strategy) -> Result<Self, AlgorithmError> {
-        Self::with(Algorithm::Oaq, "OAQ", strategy, Substrate::Oa(OaStream::new()))
+        Self::with(Algorithm::Oaq, strategy, Substrate::Oa(OaStream::new()))
     }
 
     /// OAQ: golden-ratio rule, midpoint split, incremental OA below.
@@ -291,9 +264,30 @@ impl StreamingSolver {
         Self::oaq_with(Strategy::golden_equal()).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// The algorithm this solver runs.
+    pub fn algorithm(&self) -> Algorithm {
+        self.algorithm
+    }
+
+    /// The stream clock: the latest arrival or advance time seen
+    /// (`−∞` before the first event).
+    pub fn now(&self) -> f64 {
+        self.clock
+    }
+
+    /// Number of events (arrivals and advances) processed so far.
+    pub fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// The jobs fed so far, in feed order.
+    pub fn jobs(&self) -> &[QJob] {
+        &self.jobs
+    }
+
     /// The substrate's live speed at the stream clock (0 before the
     /// first event).
-    pub fn speed_now(&self) -> f64 {
+    pub fn speed(&self) -> f64 {
         if self.clock.is_finite() {
             self.substrate.speed_after(self.clock)
         } else {
@@ -309,30 +303,25 @@ impl StreamingSolver {
         }
     }
 
-    /// Inherent form of [`OnlineSolver::on_arrival`], returning the
-    /// stream-typed error directly.
-    pub fn feed(&mut self, job: QJob) -> Result<SpeedDelta, StreamError> {
+    /// Feeds one arriving job, applying the algorithm's query and split
+    /// strategy on the spot. Arrivals must be fed in non-decreasing
+    /// release order. Returns the speed change at the arrival instant;
+    /// a rejected arrival leaves the solver unchanged.
+    pub fn on_arrival(&mut self, job: QJob) -> Result<SpeedDelta, StreamError> {
+        let algorithm = self.algorithm.name();
         job.validate()?;
         if job.release + EPS < self.clock {
-            return Err(StreamError::OutOfOrder {
-                algorithm: self.alg_name,
-                last: self.clock,
-                got: job.release,
-            });
+            return Err(StreamError::OutOfOrder { algorithm, last: self.clock, got: job.release });
         }
         if self.seen.contains(&job.id) {
-            return Err(StreamError::DuplicateJob { algorithm: self.alg_name, job: job.id });
+            return Err(StreamError::DuplicateJob { algorithm, job: job.id });
         }
         // Decide before touching any stream state so a rejected split
         // leaves the solver exactly as it was.
         let decision = if self.strategy.query.decide(&job, &mut NoRandomness) {
             let tau = self.strategy.split.split(&job);
             if !(tau > job.release + EPS && tau < job.deadline - EPS) {
-                return Err(StreamError::SplitOutsideWindow {
-                    algorithm: self.alg_name,
-                    job: job.id,
-                    tau,
-                });
+                return Err(StreamError::SplitOutsideWindow { algorithm, job: job.id, tau });
             }
             Decision::query(job.id, tau)
         } else {
@@ -370,17 +359,16 @@ impl StreamingSolver {
         Ok(SpeedDelta { at: t, before, after })
     }
 
-    /// Inherent form of [`OnlineSolver::advance_to`].
-    pub fn advance(&mut self, t: f64) -> Result<(), StreamError> {
+    /// Advances the stream clock to `t` with no arrival: releases the
+    /// exact parts of queries completing by `t` and commits the planned
+    /// profile up to `t`. Time never flows backwards.
+    pub fn advance_to(&mut self, t: f64) -> Result<(), StreamError> {
+        let algorithm = self.algorithm.name();
         if !t.is_finite() {
-            return Err(StreamError::NonFiniteTime { algorithm: self.alg_name, t });
+            return Err(StreamError::NonFiniteTime { algorithm, t });
         }
         if t + EPS < self.clock {
-            return Err(StreamError::OutOfOrder {
-                algorithm: self.alg_name,
-                last: self.clock,
-                got: t,
-            });
+            return Err(StreamError::OutOfOrder { algorithm, last: self.clock, got: t });
         }
         qbss_telemetry::counter!("solver.advances").inc();
         self.flush_pending(t);
@@ -390,54 +378,25 @@ impl StreamingSolver {
         Ok(())
     }
 
-    /// Inherent form of [`OnlineSolver::finish`], returning the
-    /// algorithm-typed error the batch entry points expose. The solver
-    /// is drained and must not be fed afterwards.
-    pub fn finish_batch(&mut self) -> Result<QbssOutcome, AlgorithmError> {
+    /// Finishes the stream: runs out the horizon and returns the same
+    /// validated [`QbssOutcome`] the batch entry point would produce
+    /// for the jobs fed so far.
+    pub fn finish(mut self) -> Result<QbssOutcome, AlgorithmError> {
+        let algorithm = self.algorithm.name();
         if self.jobs.is_empty() {
-            return Err(AlgorithmError::EmptyInstance { algorithm: self.alg_name });
+            return Err(AlgorithmError::EmptyInstance { algorithm });
         }
         self.flush_pending(f64::INFINITY);
         let profile = self.substrate.finish();
-        let mut decisions = std::mem::take(&mut self.decisions);
+        let mut decisions = self.decisions;
         decisions.sort_by_key(|d| d.job);
-        let inst = QbssInstance::new(std::mem::take(&mut self.jobs));
+        let inst = QbssInstance::new(self.jobs);
         // Splits and ids were checked at feed time, so the derived
         // instance cannot fail to build.
         let derived = derived_instance(&inst, &decisions);
         let schedule = edf_schedule(&EdfTask::from_instance(&derived), &profile, 0)
-            .map_err(|source| AlgorithmError::Infeasible { algorithm: self.alg_name, source })?;
-        Ok(QbssOutcome { algorithm: self.alg_name.into(), decisions, schedule })
-    }
-}
-
-impl OnlineSolver for StreamingSolver {
-    fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    fn now(&self) -> f64 {
-        self.clock
-    }
-
-    fn speed(&self) -> f64 {
-        self.speed_now()
-    }
-
-    fn events(&self) -> u64 {
-        self.events
-    }
-
-    fn on_arrival(&mut self, job: QJob) -> Result<SpeedDelta, StreamError> {
-        self.feed(job)
-    }
-
-    fn advance_to(&mut self, t: f64) -> Result<(), StreamError> {
-        self.advance(t)
-    }
-
-    fn finish(mut self: Box<Self>) -> Result<QbssOutcome, QbssError> {
-        Ok(self.finish_batch()?)
+            .map_err(|source| AlgorithmError::Infeasible { algorithm, source })?;
+        Ok(QbssOutcome { algorithm: algorithm.into(), decisions, schedule })
     }
 }
 
@@ -447,11 +406,11 @@ impl OnlineSolver for StreamingSolver {
 /// common-release family needs the whole instance up front, and the
 /// multi-machine variants assign jobs globally. Those return
 /// [`AlgorithmError::UnsupportedStructure`].
-pub fn solver_for(algorithm: Algorithm) -> Result<Box<dyn OnlineSolver + Send>, AlgorithmError> {
+pub fn solver_for(algorithm: Algorithm) -> Result<StreamingSolver, AlgorithmError> {
     match algorithm {
-        Algorithm::Avrq => Ok(Box::new(StreamingSolver::avrq())),
-        Algorithm::Bkpq => Ok(Box::new(StreamingSolver::bkpq())),
-        Algorithm::Oaq => Ok(Box::new(StreamingSolver::oaq())),
+        Algorithm::Avrq => Ok(StreamingSolver::avrq()),
+        Algorithm::Bkpq => Ok(StreamingSolver::bkpq()),
+        Algorithm::Oaq => Ok(StreamingSolver::oaq()),
         other => Err(AlgorithmError::UnsupportedStructure {
             algorithm: other.name(),
             reason: "the whole instance up front; only avrq, bkpq and oaq stream".into(),
@@ -473,20 +432,21 @@ pub fn arrival_ordered(inst: &QbssInstance) -> Vec<QJob> {
     jobs
 }
 
-/// Feeds every job of a validated instance in canonical arrival order
-/// and finishes — the adapter the batch `try_*` entry points are built
-/// on.
+/// Validates `inst`, feeds every job in canonical arrival order and
+/// finishes — the adapter the batch `try_*` entry points are built on.
+/// An empty instance finishes as [`AlgorithmError::EmptyInstance`].
 pub fn batch_outcome(
     mut solver: StreamingSolver,
     inst: &QbssInstance,
 ) -> Result<QbssOutcome, AlgorithmError> {
+    inst.validate()?;
     for job in arrival_ordered(inst) {
-        solver.feed(job).map_err(|e| match e {
+        solver.on_arrival(job).map_err(|e| match e {
             StreamError::Model(m) => AlgorithmError::InvalidInstance(m),
             other => unreachable!("sorted feed of a validated instance cannot fail: {other}"),
         })?;
     }
-    solver.finish_batch()
+    solver.finish()
 }
 
 #[cfg(test)]
@@ -529,7 +489,7 @@ mod tests {
     #[test]
     fn delta_reports_the_arrival_speed_change() {
         let mut s = StreamingSolver::oaq();
-        let d = s.feed(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).expect("feed");
+        let d = s.on_arrival(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).expect("feed");
         assert_eq!(d.at, 0.0);
         assert_eq!(d.before, 0.0);
         assert!(d.after > 0.0, "an arrival into an idle stream must raise the speed");
@@ -541,10 +501,38 @@ mod tests {
         // AVRQ on (0, 2], c = 0.5, w* = 1: density 0.5 on (0, 1] from
         // the query part, then 1.0 on (1, 2] once the query completes.
         let mut s = StreamingSolver::avrq();
-        s.feed(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).expect("feed");
-        assert!((s.speed_now() - 0.5).abs() < 1e-12);
-        s.advance(1.5).expect("advance");
-        assert!((s.speed_now() - 1.0).abs() < 1e-12);
+        s.on_arrival(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).expect("feed");
+        assert!((s.speed() - 0.5).abs() < 1e-12);
+        s.advance_to(1.5).expect("advance");
+        assert!((s.speed() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_load_is_invisible_before_the_split() {
+        // Job 0 is queried by every rule and splits at τ = 2; job 1
+        // arrives before τ. The two streams differ only in job 0's w*.
+        let stream = |algorithm, w_star| {
+            let mut s = solver_for(algorithm).expect("streamable");
+            s.on_arrival(QJob::new(0, 0.0, 4.0, 0.5, 2.0, w_star)).expect("feed");
+            let mut before = vec![s.speed()];
+            s.advance_to(0.5).expect("advance");
+            before.push(s.speed());
+            s.on_arrival(QJob::new(1, 1.0, 3.0, 0.9, 1.0, 0.5)).expect("feed");
+            before.push(s.speed());
+            s.advance_to(1.9).expect("advance");
+            before.push(s.speed());
+            s.advance_to(2.5).expect("advance");
+            (before, s.speed())
+        };
+        for algorithm in [Algorithm::Avrq, Algorithm::Bkpq, Algorithm::Oaq] {
+            let (before_low, after_low) = stream(algorithm, 0.0);
+            let (before_high, after_high) = stream(algorithm, 2.0);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&before_low), bits(&before_high), "{algorithm}: w* leaked before τ");
+            // BKP's speed at an arrival instant counts no window yet.
+            assert!(before_low[1..].iter().all(|&v| v > 0.0), "{algorithm}: idle before τ");
+            assert!((after_low - after_high).abs() > 0.1, "{algorithm}: w* unused after τ");
+        }
     }
 
     #[test]
@@ -571,8 +559,8 @@ mod tests {
     #[test]
     fn out_of_order_arrivals_are_rejected() {
         let mut s = StreamingSolver::avrq();
-        s.feed(QJob::new(0, 2.0, 4.0, 0.5, 1.0, 0.5)).expect("feed");
-        let err = s.feed(QJob::new(1, 0.5, 4.0, 0.5, 1.0, 0.5)).expect_err("must reject");
+        s.on_arrival(QJob::new(0, 2.0, 4.0, 0.5, 1.0, 0.5)).expect("feed");
+        let err = s.on_arrival(QJob::new(1, 0.5, 4.0, 0.5, 1.0, 0.5)).expect_err("must reject");
         assert!(matches!(err, StreamError::OutOfOrder { .. }));
         assert_eq!(s.events(), 1, "rejected events must not count");
     }
@@ -580,8 +568,8 @@ mod tests {
     #[test]
     fn duplicate_ids_are_rejected() {
         let mut s = StreamingSolver::bkpq();
-        s.feed(QJob::new(7, 0.0, 2.0, 0.5, 1.0, 0.5)).expect("feed");
-        let err = s.feed(QJob::new(7, 1.0, 3.0, 0.5, 1.0, 0.5)).expect_err("must reject");
+        s.on_arrival(QJob::new(7, 0.0, 2.0, 0.5, 1.0, 0.5)).expect("feed");
+        let err = s.on_arrival(QJob::new(7, 1.0, 3.0, 0.5, 1.0, 0.5)).expect_err("must reject");
         assert!(matches!(err, StreamError::DuplicateJob { job: 7, .. }));
     }
 
@@ -589,26 +577,23 @@ mod tests {
     fn malformed_jobs_are_rejected() {
         let mut s = StreamingSolver::bkpq();
         let bad = QJob::new_unchecked(0, 0.0, 2.0, 0.5, 2.0, f64::NAN);
-        assert!(matches!(s.feed(bad), Err(StreamError::Model(_))));
+        assert!(matches!(s.on_arrival(bad), Err(StreamError::Model(_))));
     }
 
     #[test]
     fn time_cannot_flow_backwards() {
         let mut s = StreamingSolver::oaq();
-        s.feed(QJob::new(0, 1.0, 3.0, 0.5, 2.0, 1.0)).expect("feed");
-        s.advance(2.0).expect("advance");
-        assert!(matches!(s.advance(1.0), Err(StreamError::OutOfOrder { .. })));
-        assert!(matches!(s.advance(f64::NAN), Err(StreamError::NonFiniteTime { .. })));
+        s.on_arrival(QJob::new(0, 1.0, 3.0, 0.5, 2.0, 1.0)).expect("feed");
+        s.advance_to(2.0).expect("advance");
+        assert!(matches!(s.advance_to(1.0), Err(StreamError::OutOfOrder { .. })));
+        assert!(matches!(s.advance_to(f64::NAN), Err(StreamError::NonFiniteTime { .. })));
     }
 
     #[test]
     fn empty_finish_reports_empty_instance() {
         let s = solver_for(Algorithm::Oaq).expect("streamable");
         let err = s.finish().expect_err("empty stream has no outcome");
-        assert!(matches!(
-            err,
-            QbssError::Algorithm(AlgorithmError::EmptyInstance { algorithm: "OAQ" })
-        ));
+        assert!(matches!(err, AlgorithmError::EmptyInstance { algorithm: "OAQ" }));
     }
 
     #[test]
@@ -624,6 +609,15 @@ mod tests {
                 "{algorithm} must not stream"
             );
         }
+    }
+
+    #[test]
+    fn oracle_split_is_rejected_online() {
+        let s = Strategy { query: QueryRule::Always, split: SplitRule::Oracle };
+        assert!(matches!(
+            StreamingSolver::avrq_with(s),
+            Err(AlgorithmError::UnsupportedStructure { algorithm: "AVRQ", .. })
+        ));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use qbss_core::error::ModelError;
 use qbss_core::model::{QJob, QbssInstance};
 use qbss_core::outcome::QbssOutcome;
+use qbss_telemetry::JsonValue;
 
 /// The CSV header emitted by [`to_csv`] and required by [`from_csv`].
 pub const CSV_HEADER: &str = "id,release,deadline,query_load,upper_bound,exact";
@@ -495,6 +496,33 @@ pub fn from_json(json: &str) -> Result<QbssInstance, IoError> {
         return Err(p.err("trailing characters after JSON document"));
     }
     finish(jobs, &job_lines)
+}
+
+/// Reads one job's six fields (`id`, `release`, `deadline`,
+/// `query_load`, `upper_bound`, `exact`) from a parsed JSON object, the
+/// job shape of streaming arrivals. The values are *not* model-validated:
+/// the streaming engine rejects malformed jobs with its typed errors.
+/// The error names the missing or ill-typed field and reads as a
+/// predicate; callers prefix their own subject ("job object", "event").
+pub fn job_from_value(v: &JsonValue) -> Result<QJob, String> {
+    let id = v
+        .get("id")
+        .and_then(JsonValue::as_u64)
+        .filter(|&id| id <= u64::from(u32::MAX))
+        .ok_or_else(|| "needs an integer `id`".to_string())?;
+    let num = |name: &str| {
+        v.get(name)
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("needs a number field `{name}`"))
+    };
+    Ok(QJob::new_unchecked(
+        id as u32,
+        num("release")?,
+        num("deadline")?,
+        num("query_load")?,
+        num("upper_bound")?,
+        num("exact")?,
+    ))
 }
 
 /// Builds the instance and maps a validation failure back to the source

@@ -12,9 +12,14 @@ use rand::{Rng, SeedableRng};
 use qbss_core::model::{QJob, QbssInstance};
 use qbss_core::offline::round_down_to_power_of_two;
 use qbss_core::online::{avrq, bkpq};
-use qbss_core::PHI;
+use qbss_core::policy::NoRandomness;
+use qbss_core::stream::arrival_ordered;
+use qbss_core::{QueryRule, PHI};
+use speed_scaling::bkp::bkp_intensity_at;
 use speed_scaling::job::{Instance, Job};
+use speed_scaling::profile::SpeedProfile;
 use speed_scaling::schedule::Schedule;
+use speed_scaling::time::{dedup_times, EPS};
 use speed_scaling::yds::{yds, yds_profile};
 
 const CASES: u64 = 48;
@@ -265,26 +270,62 @@ fn avrq_speed_domination_property() {
     });
 }
 
-/// The step-by-step online simulator reproduces the analytic AVRQ and
-/// BKPQ profiles exactly on random instances — the
-/// "online-faithfulness" of the one-pass constructions, as a property.
+/// Independent reference for the online-faithfulness of the one-pass
+/// AVRQ and BKPQ constructions: decides each job at its release, in
+/// arrival order, from its visible part, then builds the speed profile
+/// segment by segment, each segment's speed taken from the derived jobs
+/// already known at its start. A derived job becomes known at its own
+/// release: a query or unqueried part at the job's release, an exact
+/// part at the split point, when the query completes.
+fn stepped_profile(
+    inst: &QbssInstance,
+    query: QueryRule,
+    speed: impl Fn(&[Job], f64) -> f64,
+) -> SpeedProfile {
+    let mut derived = Vec::new();
+    for j in arrival_ordered(inst) {
+        if query.decide_visible(j.query_load, j.upper_bound, &mut NoRandomness) {
+            let tau = 0.5 * (j.release + j.deadline);
+            derived.push(Job::new(j.id, j.release, tau, j.query_load));
+            derived.push(Job::new(j.id, tau, j.deadline, j.reveal_exact()));
+        } else {
+            derived.push(Job::new(j.id, j.release, j.deadline, j.upper_bound));
+        }
+    }
+    let events = dedup_times(derived.iter().flat_map(|dj| [dj.release, dj.deadline]).collect());
+    let values = events
+        .windows(2)
+        .map(|w| {
+            let known: Vec<Job> =
+                derived.iter().filter(|dj| dj.release <= w[0] + EPS).copied().collect();
+            speed(&known, 0.5 * (w[0] + w[1]))
+        })
+        .collect();
+    SpeedProfile::new(events, values).simplify()
+}
+
+/// The stepped online reference reproduces the analytic AVRQ and BKPQ
+/// profiles exactly on random instances — the "online-faithfulness" of
+/// the one-pass constructions, as a property.
 #[test]
 fn stepped_simulation_matches_analytic() {
     for_cases("stepped_simulation_matches_analytic", |rng| {
-        use qbss_core::sim::{simulate, StrategyPolicy, Substrate};
-        use qbss_core::Strategy;
         let inst = arb_qinstance(rng, 5);
-        let mut avr_policy = StrategyPolicy::new(Strategy::always_equal());
-        let sim = simulate(&inst, &mut avr_policy, Substrate::Avr);
+        let avr = |known: &[Job], t: f64| -> f64 {
+            known.iter().filter(|dj| dj.active_at(t)).map(|dj| dj.density()).sum()
+        };
+        let stepped = stepped_profile(&inst, QueryRule::Always, avr);
         let analytic = qbss_core::online::avrq_profile(&inst);
-        assert!(sim.profile.dominated_by(&analytic, 1.0).is_ok());
-        assert!(analytic.dominated_by(&sim.profile, 1.0).is_ok());
+        assert!(stepped.dominated_by(&analytic, 1.0).is_ok());
+        assert!(analytic.dominated_by(&stepped, 1.0).is_ok());
 
-        let mut bkp_policy = StrategyPolicy::new(Strategy::golden_equal());
-        let sim = simulate(&inst, &mut bkp_policy, Substrate::Bkp);
+        let bkp = |known: &[Job], t: f64| {
+            std::f64::consts::E * bkp_intensity_at(&Instance::new(known.to_vec()), t)
+        };
+        let stepped = stepped_profile(&inst, QueryRule::GoldenRatio, bkp);
         let analytic = qbss_core::online::bkpq_profile(&inst);
-        assert!(sim.profile.dominated_by(&analytic, 1.0).is_ok());
-        assert!(analytic.dominated_by(&sim.profile, 1.0).is_ok());
+        assert!(stepped.dominated_by(&analytic, 1.0).is_ok());
+        assert!(analytic.dominated_by(&stepped, 1.0).is_ok());
     });
 }
 
